@@ -101,7 +101,7 @@ def select_svm_hyperparams(X_tr, y_tr, X_val, y_val, kernel_name: str,
     for kern in kernels:
         for C in cfg.svm_c_grid:
             model = train_ova(X_tr, y_tr, kern, C=C, tol=cfg.smo_tolerance,
-                              seed=cfg.seed)
+                              max_passes=cfg.smo_max_passes)
             acc = float(np.mean(model.predict(X_val) == np.asarray(y_val)))
             if best is None or acc > best[0]:
                 best = (acc, kern, C, model)

@@ -11,7 +11,7 @@ consecutive seeds and reports mean and best accuracy plus AUC.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,13 +76,7 @@ def run_once(X: np.ndarray, grades: np.ndarray, classifier: str,
     y_tr, y_va, y_te = grades[tr], grades[va], grades[te]
     classes = sorted(np.unique(y_tr).tolist())
 
-    run_cfg = TrainConfig(seed=seed, max_iters=cfg.max_iters,
-                          cg_restart_interval=cfg.cg_restart_interval,
-                          validation_patience=cfg.validation_patience,
-                          svm_c_grid=cfg.svm_c_grid,
-                          rbf_gamma_grid=cfg.rbf_gamma_grid,
-                          smo_tolerance=cfg.smo_tolerance,
-                          smo_max_passes=cfg.smo_max_passes)
+    run_cfg = replace(cfg, seed=seed)
     if classifier == "ann":
         model = train_mlp(X_tr, y_tr, X_va, y_va, run_cfg, seed=seed)
         pred = model.predict(X_te)

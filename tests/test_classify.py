@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from gliomics.classify import (Standardizer, TrainConfig, fit_standardizer,
                                select_svm_hyperparams)
-from gliomics.errors import EmptyMatrix
+from gliomics.errors import EmptyMatrix, NoConvergence
 
 
 class TestTrainConfig:
@@ -120,3 +122,14 @@ class TestHyperparamSelection:
         b = select_svm_hyperparams(Xt, yt, Xv, yv, "rbf")
         assert (a[0], a[1]) == (b[0], b[1])
         assert np.array_equal(a[2].decision_matrix(Xv), b[2].decision_matrix(Xv))
+
+    def test_smo_max_passes_reaches_the_solver(self, rng):
+        # overlapping classes at a large C need many sweeps; one sweep of
+        # n pair updates is too few, and the limit must say so
+        Xt, Xv = rng.normal(size=(30, 2)), rng.normal(size=(6, 2))
+        yt, yv = np.repeat([2, 3], 15), np.repeat([2, 3], 3)
+        cfg = TrainConfig(svm_c_grid=(100.0,))
+        select_svm_hyperparams(Xt, yt, Xv, yv, "linear", cfg)
+        with pytest.raises(NoConvergence):
+            select_svm_hyperparams(Xt, yt, Xv, yv, "linear",
+                                   replace(cfg, smo_max_passes=1))

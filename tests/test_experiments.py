@@ -11,6 +11,7 @@ from gliomics.experiments import (CLASSIFIERS, EXPERIMENTS,
                                   run_experiment, run_once, summary_csv_rows,
                                   write_feature_table)
 from gliomics.features import KIND_LENGTHS
+from gliomics.phantom import generate_cohort
 
 FAST_CFG = TrainConfig(max_iters=15, svm_c_grid=(1.0,), rbf_gamma_grid=(1.0,))
 
@@ -145,6 +146,15 @@ class TestRunProtocol:
         with pytest.raises(ClassTooSmall, match=r"run 0 \(seed 0\)"):
             run_experiment(X, grades, "II-IV", "svm-linear", FAST_CFG,
                            n_runs=1)
+
+    def test_readme_cohort_shape_table_converges(self):
+        # at split seed 1 the C = 100 fits of this cell need over a thousand
+        # sweeps each; they must still settle within the default limit
+        cohort = generate_cohort(n_per_grade=(18, 14, 25), base_seed=0)
+        X, grades = cohort_feature_matrix(cohort, "t2", "shape")
+        s = run_experiment(X, grades, "all", "svm-linear", n_runs=1, seed0=1)
+        assert [r.seed for r in s.runs] == [1]
+        assert 0.0 <= s.mean_accuracy <= 1.0
 
 
 class TestSummaryCsv:
