@@ -3,7 +3,8 @@ feature extraction, volumetrics, training/evaluation and group statistics.
 
 Every artifact embeds {tool_version, config_digest, seed} (JSON key or CSV
 comment line) and contains no timestamps, so reruns with identical inputs
-are byte-identical.  Files are written atomically (temp file + rename).
+are byte-identical.  Every file goes through ``artifacts``, which writes it
+atomically (unique temp file + rename), so no file is ever half-written.
 
 Exit codes: 0 success, 2 input/config problem, 3 registration failure,
 4 training failure.
@@ -12,9 +13,7 @@ Exit codes: 0 success, 2 input/config problem, 3 registration failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import logging
 import os
@@ -25,17 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .artifacts import read_csv, write_csv, write_json
 from .classify import TrainConfig
-from .errors import (ClassTooSmall, DivergedLoss, GliomicsError,
-                     InsufficientOverlap, NoConvergence, NoImprovement,
-                     SingleClass)
-from .evaluate import SplitSpec
+from .errors import (ClassTooSmall, GliomicsError, InsufficientOverlap,
+                     NoConvergence, NoImprovement, SingleClass)
 from .experiments import (CLASSIFIERS, EXPERIMENTS, read_feature_table,
-                          run_experiment, summary_csv_rows)
+                          run_experiment, summary_csv_rows,
+                          write_feature_table)
 from .features import KIND_LENGTHS, extract_all
 from .phantom import generate_cohort, read_manifest, write_cohort
-from .registration import (EsConfig, MiConfig, RigidTransform, register_rigid,
-                           save_transform, subtraction_map)
+from .registration import EsConfig, MiConfig, register_rigid, subtraction_map
 from .stats import dunn_posthoc, kruskal_wallis
 from .volume import load_labelmap, load_volume, save_volume
 from .volumetrics import component_volumes, volume_ratios
@@ -43,7 +41,7 @@ from .volumetrics import component_volumes, volume_ratios
 log = logging.getLogger("gliomics")
 
 _REGISTRATION_ERRORS = (InsufficientOverlap, NoImprovement)
-_TRAINING_ERRORS = (NoConvergence, DivergedLoss, SingleClass, ClassTooSmall)
+_TRAINING_ERRORS = (NoConvergence, SingleClass, ClassTooSmall)
 
 
 def _config_digest(payload: dict) -> str:
@@ -54,30 +52,6 @@ def _config_digest(payload: dict) -> str:
 def _provenance(seed: int, config: dict) -> dict:
     return {"tool_version": __version__, "config_digest": _config_digest(config),
             "seed": seed}
-
-
-def _atomic_write(path: Path, data: bytes):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / (path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
-def _write_json(path: Path, payload: dict):
-    _atomic_write(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n")
-                  .encode())
-
-
-def _write_csv(path: Path, rows, provenance: dict):
-    buf = io.StringIO()
-    buf.write(f"# tool_version={provenance['tool_version']} "
-              f"config_digest={provenance['config_digest']} "
-              f"seed={provenance['seed']}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    _atomic_write(path, buf.getvalue().encode())
 
 
 def _load_config(path):
@@ -115,11 +89,10 @@ def cmd_subtract(args) -> int:
     sub = subtraction_map(pre, post, transform)
     config = {"pre": str(args.pre), "post": str(args.post), "es_seed": args.seed}
     prov = _provenance(args.seed, config)
-    out.mkdir(parents=True, exist_ok=True)
     save_volume(sub, out / "subtraction.nii.gz")
     payload = transform.to_json()
     payload["provenance"] = prov
-    _write_json(out / "transform.json", payload)
+    write_json(out / "transform.json", payload)
     log.info("wrote %s", out / "subtraction.nii.gz")
     return 0
 
@@ -169,7 +142,6 @@ def cmd_features(args) -> int:
     results.sort(key=lambda r: r[0])
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = {"manifest": str(args.manifest), "kinds": kinds,
               "modalities": modalities}
     prov = _provenance(args.seed, config)
@@ -177,18 +149,8 @@ def cmd_features(args) -> int:
         table_rows = [(sid, modality, grade, vecs[modality][kind])
                       for sid, grade, vecs in results
                       for modality in modalities]
-        path = out / f"features_{kind}.csv"
-        buf = io.StringIO()
-        buf.write(f"# tool_version={prov['tool_version']} "
-                  f"config_digest={prov['config_digest']} seed={prov['seed']}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        n = KIND_LENGTHS[kind]
-        writer.writerow(["subject_id", "modality", "grade", "kind",
-                         *[f"f{i:03d}" for i in range(n)]])
-        for sid, modality, grade, values in table_rows:
-            writer.writerow([sid, modality, grade, kind,
-                             *[f"{v:.12g}" for v in values]])
-        _atomic_write(path, buf.getvalue().encode())
+        path = write_feature_table(out / f"features_{kind}.csv", table_rows,
+                                   kind, prov)
         log.info("wrote %s (%d rows)", path, len(table_rows))
     return 0
 
@@ -215,7 +177,7 @@ def cmd_volumetrics(args) -> int:
                       *[f"{cv.volumes_mm3[k]:.6g}" for k in range(1, 6)],
                       f"{cv.total_mm3:.6g}",
                       *[f"{vr.ratios_pct[k]:.6g}" for k in range(1, 6)]])
-    _write_csv(Path(args.out), table, prov)
+    write_csv(args.out, table, prov)
     return 0
 
 
@@ -236,10 +198,9 @@ def cmd_train_eval(args) -> int:
     cfg = _train_config(config, args.seed)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     prov = _provenance(args.seed, {"config": config,
                                    "tables": [str(p) for p in args.features]})
-    summaries = []
+    summaries, reports = [], {}
     for table_path in args.features:
         meta, X, kind = read_feature_table(table_path)
         by_modality = {}
@@ -266,8 +227,11 @@ def cmd_train_eval(args) -> int:
                         "provenance": prov,
                     }
                     name = f"report_{kind}_{modality}_{classifier}_{experiment}.json"
-                    _write_json(out / name, report)
-    _write_csv(out / "summary.csv", summary_csv_rows(summaries), prov)
+                    reports[name] = report
+    # nothing is written until the whole grid has run
+    for name, report in reports.items():
+        write_json(out / name, report)
+    write_csv(out / "summary.csv", summary_csv_rows(summaries), prov)
     log.info("wrote %s", out / "summary.csv")
     return 0
 
@@ -278,9 +242,7 @@ def cmd_stats(args) -> int:
     path = Path(args.ratios)
     if not path.is_file():
         raise GliomicsError(f"ratios CSV not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(filter(lambda ln: not ln.startswith("#"), fh))
-        rows = list(reader)
+    rows = read_csv(path)
     if not rows or "grade" not in rows[0]:
         raise GliomicsError(f"{path} is not a volumetrics table (no grade column)")
     ratio_cols = [c for c in rows[0] if c.startswith("ratio_")]
@@ -310,9 +272,8 @@ def cmd_stats(args) -> int:
         results[col] = {"h": kw.h, "p": kw.p_value,
                         "all_identical": kw.all_identical, "pairs": pair_rows}
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "stats.json", {"provenance": prov, "ratios": results})
-    _write_csv(out / "stats.csv", table, prov)
+    write_json(out / "stats.json", {"provenance": prov, "ratios": results})
+    write_csv(out / "stats.csv", table, prov)
     return 0
 
 
@@ -331,7 +292,7 @@ def cmd_phantom(args) -> int:
     out = Path(args.out)
     manifest = write_cohort(cohort, out, compress=not args.no_compress)
     prov = _provenance(args.seed, {"n_per_grade": n_per_grade, "dims": dims})
-    _write_json(out / "provenance.json", prov)
+    write_json(out / "provenance.json", prov)
     log.info("wrote %s (%d subjects)", manifest, len(cohort))
     return 0
 
@@ -347,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--skip-errors", action="store_true",
-                       help="skip unreadable subjects instead of aborting")
 
     p = sub.add_parser("subtract", help="register pre to post, write the "
                                         "positive-clamped difference")
@@ -365,6 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", default=None,
                    help="comma list from v1,v2,v3,shape (default all)")
     p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--skip-errors", action="store_true",
+                   help="skip unreadable subjects instead of aborting")
     common(p)
     p.set_defaults(func=cmd_features)
 
@@ -382,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features", nargs="+", help="per-kind feature CSV paths")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--config", default=None, help="JSON config file")
     common(p)
     p.set_defaults(func=cmd_train_eval)
 

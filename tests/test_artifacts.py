@@ -1,0 +1,78 @@
+"""The single file writer: atomic replacement, unique temp names, the
+permissions of a plain ``open()``, deterministic gzip, and the CSV format."""
+
+import gzip
+import os
+
+import pytest
+
+from gliomics import artifacts
+from gliomics.artifacts import read_csv, write_bytes, write_csv, write_json
+
+PROV = {"tool_version": "1.2", "config_digest": "ab" * 8, "seed": 7}
+
+
+class TestWriteBytes:
+    def test_creates_parent_directories(self, tmp_path):
+        path = write_bytes(tmp_path / "x" / "y" / "out.bin", b"data")
+        assert path.read_bytes() == b"data"
+
+    def test_stale_tmp_name_does_not_block(self, tmp_path):
+        (tmp_path / "out.json.tmp").mkdir()
+        write_json(tmp_path / "out.json", {"a": 1})
+        assert (tmp_path / "out.json").read_text() == '{\n  "a": 1\n}\n'
+
+    def test_failed_replace_keeps_old_target(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(artifacts.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            write_bytes(target, b"new")
+        assert target.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        with open(tmp_path / "plain", "wb") as fh:
+            fh.write(b"x")
+        write_bytes(tmp_path / "artifact", b"x")
+        assert ((tmp_path / "artifact").stat().st_mode
+                == (tmp_path / "plain").stat().st_mode)
+
+    def test_repeated_writes_leave_only_the_target(self, tmp_path):
+        for i in range(3):
+            write_bytes(tmp_path / "out.bin", bytes([i]))
+        assert os.listdir(tmp_path) == ["out.bin"]
+        assert (tmp_path / "out.bin").read_bytes() == b"\x02"
+
+    def test_gzip_has_no_timestamp_or_name(self, tmp_path):
+        path = write_bytes(tmp_path / "v.nii.gz", b"payload" * 100)
+        blob = path.read_bytes()
+        assert blob[:3] == b"\x1f\x8b\x08"
+        assert blob[3] == 0                    # FLG: no FNAME, no comment
+        assert blob[4:8] == b"\x00\x00\x00\x00"  # MTIME = 0
+        assert gzip.decompress(blob) == b"payload" * 100
+        again = write_bytes(tmp_path / "w.nii.gz", b"payload" * 100)
+        assert again.read_bytes() == blob
+
+
+class TestCsv:
+    def test_provenance_line_then_lf_rows(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", [["a", "b"], [1, "x,y"]], PROV)
+        assert path.read_bytes() == (
+            b"# tool_version=1.2 config_digest=abababababababab seed=7\n"
+            b'a,b\n1,"x,y"\n')
+
+    def test_no_provenance(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", [["a"], ["1"]])
+        assert path.read_bytes() == b"a\n1\n"
+
+    def test_read_skips_comment_lines(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", [["a", "b"], [1, "x,y"]], PROV)
+        assert read_csv(path) == [{"a": "1", "b": "x,y"}]
+
+    def test_read_header_only(self, tmp_path):
+        assert read_csv(write_csv(tmp_path / "t.csv", [["a", "b"]])) == []

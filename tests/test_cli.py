@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import gliomics
-from gliomics.cli import main
+from gliomics.cli import build_parser, main
 from gliomics.nifti import read_nifti
 
 
@@ -214,6 +214,27 @@ class TestTrainEvalCommand:
                      "--out", str(tmp_path), "--runs", "1",
                      "--config", str(cfg)]) == 4
 
+    def test_failed_grid_writes_no_reports(self, feature_dir, tmp_path):
+        # ann succeeds on every modality; svm-linear then fails on the 3/3/3
+        # cohort's one training row per class
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classifiers": ["ann", "svm-linear"],
+                                   "experiments": ["II-IV"],
+                                   "train": {"max_iters": 10}}))
+        out = tmp_path / "reports"
+        assert main(["train-eval", str(feature_dir / "features_v1.csv"),
+                     "--out", str(out), "--runs", "1",
+                     "--config", str(cfg)]) == 4
+        assert not list(out.glob("report_*.json"))
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_below_one_rejected(self, feature_dir, tmp_path, runs):
+        out = tmp_path / "reports"
+        assert main(["train-eval", str(feature_dir / "features_v1.csv"),
+                     "--out", str(out), "--runs", runs]) == 2
+        assert not out.exists()
+
     def test_bad_config_json(self, feature_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -236,6 +257,52 @@ class TestSubtractCommand:
     def test_missing_input(self, tmp_path):
         assert main(["subtract", str(tmp_path / "a.nii"),
                      str(tmp_path / "b.nii"), "--out", str(tmp_path)]) == 2
+
+
+class TestRerunIdentity:
+    def test_phantom_and_subtract_are_byte_identical(self, tmp_path):
+        # compressed output, so the .nii.gz headers are compared too
+        for side in ("a", "b"):
+            assert main(["phantom", "--out", str(tmp_path / side),
+                         "--n-per-grade", "3,3,3", "--seed", "4"]) == 0
+        pre = str(tmp_path / "a" / "g3_001_t1_pre.nii.gz")
+        post = str(tmp_path / "a" / "g3_001_t1_post.nii.gz")
+        for side in ("a", "b"):
+            assert main(["subtract", pre, post, "--seed", "4",
+                         "--out", str(tmp_path / side / "sub")]) == 0
+        files = sorted(p.relative_to(tmp_path / "a")
+                       for p in (tmp_path / "a").rglob("*") if p.is_file())
+        assert len(files) == 9 * 4 + 2 + 2     # volumes, manifest, provenance, sub
+        assert files == sorted(p.relative_to(tmp_path / "b")
+                               for p in (tmp_path / "b").rglob("*")
+                               if p.is_file())
+        for rel in files:
+            assert (tmp_path / "a" / rel).read_bytes() == \
+                (tmp_path / "b" / rel).read_bytes(), rel
+
+
+class TestParser:
+    @pytest.mark.parametrize("flag", [["--jobs", "8"], ["--skip-errors"],
+                                      ["--config", "missing.json"]])
+    def test_flag_only_where_honoured(self, tmp_path, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", str(tmp_path / "v.csv"), "--out", str(tmp_path),
+                  *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["phantom", "--out", "c", "--seed", "1"],
+        ["features", "m.csv", "--out", "f", "--jobs", "1", "--skip-errors",
+         "--seed", "1"],
+        ["volumetrics", "m.csv", "--out", "v.csv", "--seed", "1"],
+        ["stats", "v.csv", "--out", "s", "--seed", "1"],
+        ["train-eval", "f.csv", "--out", "r", "--config", "t.json",
+         "--runs", "2", "--seed", "1"],
+        ["subtract", "a.nii", "b.nii", "--out", "o", "--seed", "1"],
+    ])
+    def test_documented_flags_parse(self, argv):
+        assert build_parser().parse_args(argv).seed == 1
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

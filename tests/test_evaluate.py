@@ -4,8 +4,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gliomics.errors import ClassTooSmall, LengthMismatch, SingleClass
-from gliomics.evaluate import (SplitSpec, classification_report, repeat_runs,
-                               roc_auc, stratified_split)
+from gliomics.evaluate import (SplitSpec, classification_report, roc_auc,
+                               stratified_split)
 
 
 def mann_whitney_auc(scores, labels):
@@ -164,34 +164,3 @@ class TestClassificationReport:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             classification_report([1, 2], [1, 2, 3])
-
-
-class TestRepeatRuns:
-    def test_constant_metric(self):
-        s = repeat_runs(lambda seed: 0.75, n=10)
-        assert s.n_runs == 10
-        assert s.mean == 0.75
-        assert s.best == 0.75
-        assert len(s.metrics) == 10
-
-    def test_mean_and_best_differ(self):
-        s = repeat_runs(lambda seed: 0.9 if seed % 2 == 0 else 0.7, n=10)
-        assert s.best == 0.9
-        assert s.mean == pytest.approx(0.8)
-
-    def test_seeds_are_sequential_from_seed0(self):
-        seen = []
-        repeat_runs(lambda seed: seen.append(seed) or 0.0, n=4, seed0=100)
-        assert seen == [100, 101, 102, 103]
-
-    def test_failing_run_reports_its_index(self):
-        def trainer(seed):
-            if seed == 3:
-                raise ValueError("boom")
-            return 1.0
-        with pytest.raises(RuntimeError, match="run 3"):
-            repeat_runs(trainer, n=5)
-
-    def test_needs_at_least_one_run(self):
-        with pytest.raises(ValueError):
-            repeat_runs(lambda seed: 1.0, n=0)

@@ -14,6 +14,7 @@ from gliomics.features import KIND_LENGTHS
 from gliomics.phantom import generate_cohort
 
 FAST_CFG = TrainConfig(max_iters=15, svm_c_grid=(1.0,), rbf_gamma_grid=(1.0,))
+PROV = {"tool_version": "0", "config_digest": "0" * 16, "seed": 0}
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ class TestFeatureTables:
 
     def test_round_trip(self, tmp_path):
         rows = self.make_rows("v1")
-        path = write_feature_table(tmp_path / "v1.csv", rows, "v1")
+        path = write_feature_table(tmp_path / "v1.csv", rows, "v1", PROV)
         meta, X, kind = read_feature_table(path)
         assert kind == "v1"
         assert X.shape == (4, 14)
@@ -56,10 +57,10 @@ class TestFeatureTables:
     def test_wrong_length_rejected(self, tmp_path):
         rows = [("s00", "t2", 2, np.zeros(13))]
         with pytest.raises(GliomicsError, match="13 values, want 14"):
-            write_feature_table(tmp_path / "bad.csv", rows, "v1")
+            write_feature_table(tmp_path / "bad.csv", rows, "v1", PROV)
 
     def test_empty_table_rejected(self, tmp_path):
-        path = write_feature_table(tmp_path / "empty.csv", [], "shape")
+        path = write_feature_table(tmp_path / "empty.csv", [], "shape", PROV)
         with pytest.raises(GliomicsError, match="empty"):
             read_feature_table(path)
 
@@ -75,7 +76,7 @@ class TestFeatureTables:
 
     def test_comment_lines_skipped(self, tmp_path):
         rows = self.make_rows("shape", n_subjects=2)
-        path = write_feature_table(tmp_path / "s.csv", rows, "shape")
+        path = write_feature_table(tmp_path / "s.csv", rows, "shape", PROV)
         text = path.read_text()
         path.write_text("# provenance: whatever\n" + text)
         meta, X, kind = read_feature_table(path)
@@ -146,6 +147,12 @@ class TestRunProtocol:
         with pytest.raises(ClassTooSmall, match=r"run 0 \(seed 0\)"):
             run_experiment(X, grades, "II-IV", "svm-linear", FAST_CFG,
                            n_runs=1)
+
+    @pytest.mark.parametrize("n_runs", [0, -1])
+    def test_needs_at_least_one_run(self, tiny_matrix, n_runs):
+        X, grades = tiny_matrix
+        with pytest.raises(GliomicsError, match="at least one run"):
+            run_experiment(X, grades, "II-IV", "ann", FAST_CFG, n_runs=n_runs)
 
     def test_readme_cohort_shape_table_converges(self):
         # at split seed 1 the C = 100 fits of this cell need over a thousand

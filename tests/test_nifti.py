@@ -41,6 +41,15 @@ def test_gzip_transparency(tmp_path):
     assert np.array_equal(plain.data, packed.data)
     assert plain.spacing == packed.spacing
     assert np.array_equal(plain.affine, packed.affine)
+    assert (gzip.decompress((tmp_path / "a.nii.gz").read_bytes())
+            == (tmp_path / "a.nii").read_bytes())
+
+
+def test_write_failure_is_io_failure(tmp_path):
+    (tmp_path / "blocker").write_text("a file, not a directory")
+    with pytest.raises(IoFailure):
+        nifti.write_nifti(tmp_path / "blocker" / "v.nii.gz", np.zeros((2, 2, 2)),
+                          (1, 1, 1), np.eye(4), np.float32)
 
 
 def test_missing_file(tmp_path):
