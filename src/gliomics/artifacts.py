@@ -4,8 +4,11 @@ A write goes to a unique temp file beside its target, then is renamed over
 it, so readers never see half a file and concurrent writers never share a
 temp name.  ``.gz`` targets are gzip-compressed with no time stamp and no
 file name in the header (RFC 1952: MTIME = 0), so identical data gives
-identical bytes on every run.  CSVs carry an optional leading ``#``
-provenance line, which ``read_csv`` skips.
+identical bytes on every run.  They are compressed at zlib level 1: noisy
+float volumes barely compress, level 9 saves under 1% of level 1's size at
+nearly twice the time, and the decompressed payload is the same at every
+level.  CSVs carry an optional leading ``#`` provenance line, which
+``read_csv`` skips.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ def write_bytes(path, data: bytes) -> Path:
     """Atomically replace ``path`` with ``data`` (gzipped for ``.gz``)."""
     path = Path(path)
     if path.name.endswith(".gz"):
-        data = gzip.compress(data, mtime=0)
+        data = gzip.compress(data, compresslevel=1, mtime=0)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.getpid()}.{next(_temp_ids)}.tmp"
     fh = open(tmp, "xb")    # exclusive create, with the umask's permissions

@@ -31,7 +31,7 @@ from .errors import (ClassTooSmall, GliomicsError, InsufficientOverlap,
 from .experiments import (CLASSIFIERS, EXPERIMENTS, read_feature_table,
                           run_experiment, summary_csv_rows,
                           write_feature_table)
-from .features import KIND_LENGTHS, extract_all
+from .features import KIND_LENGTHS, build_kind, shape_block
 from .phantom import generate_cohort, read_manifest, write_cohort
 from .registration import EsConfig, MiConfig, register_rigid, subtraction_map
 from .stats import dunn_posthoc, kruskal_wallis
@@ -99,13 +99,17 @@ def cmd_subtract(args) -> int:
 
 # ---------------------------------------------------------------- features
 
-def _extract_subject(row, modalities):
+def _extract_subject(row, modalities, kinds):
     lm = load_labelmap(row["labelmap"])
+    # shape depends on the label map alone: one computation serves every
+    # modality's row
+    shape = shape_block(lm).values if "shape" in kinds else None
     out = {}
     for modality in modalities:
         v = load_volume(row[modality])
-        vecs = extract_all(v, lm)
-        out[modality] = {kind: fv.values for kind, fv in vecs.items()}
+        out[modality] = {kind: shape if kind == "shape"
+                         else build_kind(kind, v, lm).values
+                         for kind in kinds}
     return row["subject_id"], row["grade"], out
 
 
@@ -120,7 +124,7 @@ def cmd_features(args) -> int:
     results = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(_extract_subject, r, modalities): r
+            futures = {pool.submit(_extract_subject, r, modalities, kinds): r
                        for r in rows}
             for fut, row in futures.items():
                 try:
@@ -132,7 +136,7 @@ def cmd_features(args) -> int:
     else:
         for row in rows:
             try:
-                results.append(_extract_subject(row, modalities))
+                results.append(_extract_subject(row, modalities, kinds))
             except GliomicsError as exc:
                 if not args.skip_errors:
                     raise
@@ -287,8 +291,11 @@ def cmd_phantom(args) -> int:
         raise GliomicsError(f"bad integer list: {exc}") from exc
     if len(n_per_grade) != 3 or len(dims) != 3:
         raise GliomicsError("n-per-grade and dims need exactly three values")
-    cohort = generate_cohort(n_per_grade=n_per_grade, base_seed=args.seed,
-                             dims=dims)
+    try:
+        cohort = generate_cohort(n_per_grade=n_per_grade,
+                                 base_seed=args.seed, dims=dims)
+    except ValueError as exc:   # sizes the phantom model cannot build
+        raise GliomicsError(f"bad cohort size: {exc}") from exc
     out = Path(args.out)
     manifest = write_cohort(cohort, out, compress=not args.no_compress)
     prov = _provenance(args.seed, {"n_per_grade": n_per_grade, "dims": dims})

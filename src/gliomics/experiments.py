@@ -19,7 +19,7 @@ from .classify import (TrainConfig, fit_standardizer, select_svm_hyperparams,
                        train_mlp)
 from .errors import GliomicsError
 from .evaluate import SplitSpec, roc_auc, stratified_split
-from .features import KIND_LENGTHS, extract_all
+from .features import KIND_LENGTHS, build_kind
 
 EXPERIMENTS = (
     ("II-IV", (2, 4)),
@@ -144,8 +144,8 @@ def cohort_feature_matrix(cohort, modality: str, kind: str):
     """Stack one feature vector per subject -> (X, grades)."""
     rows, grades = [], []
     for sub in cohort.subjects:
-        vecs = extract_all(sub.volumes[modality], sub.labelmap)
-        rows.append(vecs[kind].values)
+        rows.append(build_kind(kind, sub.volumes[modality],
+                               sub.labelmap).values)
         grades.append(sub.grade)
     return np.vstack(rows), np.asarray(grades)
 

@@ -181,11 +181,18 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> list:
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull of 2D points, counter-clockwise, no duplicates."""
+    """Monotone-chain hull of 2D points, counter-clockwise, no duplicates.
+
+    A point strictly between two others of its row lies on the segment
+    joining them, so it is no hull vertex: the chain runs over the first and
+    last point of each row alone.
+    """
     pts = np.unique(points, axis=0)
     if len(pts) <= 2:
         return pts
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    new_row = pts[1:, 0] != pts[:-1, 0]
+    pts = pts[np.r_[True, new_row] | np.r_[new_row, True]]
 
     def half(seq):
         out = []
@@ -240,9 +247,15 @@ def ellipse_perimeter(a: float, b: float) -> float:
     return float(np.pi * (3.0 * (a + b) - np.sqrt((3.0 * a + b) * (a + 3.0 * b))))
 
 
-def _measure_slice(slice_mask: np.ndarray, sx: float, sy: float):
-    """Planar shape descriptors of a 2D mask; returns (ShapeBlock, area)."""
-    ij = np.argwhere(slice_mask)
+def _measure_slice(slice_mask: np.ndarray, sx: float, sy: float,
+                   offset=(0, 0)):
+    """Planar shape descriptors of a 2D mask; returns (ShapeBlock, area).
+
+    ``offset`` is the mask's (i, j) origin in the full grid.  The moments
+    are taken over full-grid pixel indices, so a cropped mask gives the
+    same floats as the uncropped one.
+    """
+    ij = np.argwhere(slice_mask) + offset
     n = len(ij)
     area = n * sx * sy
     x = ij[:, 0] * sx
@@ -267,12 +280,12 @@ def _measure_slice(slice_mask: np.ndarray, sx: float, sy: float):
                       float(ellipse_perim / boundary)), area
 
 
-def _component_shape(component: np.ndarray, spacing):
+def _component_shape(component: np.ndarray, spacing, offset=(0, 0)):
     """Pick the component's largest-area axial slice and measure it."""
     counts = component.sum(axis=(0, 1))
     k = int(np.argmax(counts))  # first maximal slice on ties
     return _measure_slice(component[:, :, k], float(spacing[0]),
-                          float(spacing[1]))
+                          float(spacing[1]), offset)
 
 
 def shape_features(component: np.ndarray, spacing) -> ShapeBlock:
@@ -293,17 +306,20 @@ def shape_block(lm: LabelMap) -> FeatureVector:
     """Four shape descriptors per label, area-weighted over components.
 
     Weights are the measured slice areas; a label with no voxels contributes
-    four zeros, mirroring the intensity vectors' zeros rule.
+    four zeros, mirroring the intensity vectors' zeros rule.  Each label is
+    split into components inside its bounding box only: C order within the
+    box is the full grid's order, so components come out in the same order.
     """
+    boxes = ndimage.find_objects(lm.data, max_label=max(TUMOR_LABELS))
     out = []
-    for lab in TUMOR_LABELS:
-        comps = connected_components(lm.data == lab)
-        if not comps:
+    for lab, box in zip(TUMOR_LABELS, boxes):
+        if box is None:
             out.append(np.zeros(4))
             continue
+        offset = (box[0].start, box[1].start)
         blocks, weights = [], []
-        for comp in comps:
-            blk, area = _component_shape(comp, lm.spacing)
+        for comp in connected_components(lm.data[box] == lab):
+            blk, area = _component_shape(comp, lm.spacing, offset)
             blocks.append(blk.to_array())
             weights.append(area)
         w = np.asarray(weights) / np.sum(weights)
@@ -311,7 +327,17 @@ def shape_block(lm: LabelMap) -> FeatureVector:
     return FeatureVector("shape", np.concatenate(out))
 
 
+def build_kind(kind: str, v: Volume, lm: LabelMap) -> FeatureVector:
+    """The one feature vector of ``kind`` for a (volume, label map) pair."""
+    if kind == "shape":
+        return shape_block(lm)
+    # looked up per call, so a builder wrapped at run time is the one called
+    builders = {"v1": build_v1, "v2": build_v2, "v3": build_v3}
+    if kind not in builders:
+        raise ValueError(f"unknown feature kind {kind!r}")
+    return builders[kind](v, lm)
+
+
 def extract_all(v: Volume, lm: LabelMap) -> dict:
     """All four feature vectors for one (volume, label map) pair."""
-    return {"v1": build_v1(v, lm), "v2": build_v2(v, lm),
-            "v3": build_v3(v, lm), "shape": shape_block(lm)}
+    return {kind: build_kind(kind, v, lm) for kind in KIND_LENGTHS}

@@ -8,6 +8,7 @@ downstream artifacts are built once per module because phantom generation
 dominates the runtime.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import gliomics
+from gliomics import cli, features
 from gliomics.cli import build_parser, main
 from gliomics.nifti import read_nifti
 
@@ -63,6 +65,13 @@ class TestPhantomCommand:
     def test_bad_count_list(self, tmp_path):
         assert main(["phantom", "--out", str(tmp_path), "--n-per-grade",
                      "3,3"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--n-per-grade", "1,1,1"),
+                                             ("--dims", "20,20,20")])
+    def test_sizes_the_phantom_cannot_build(self, tmp_path, flag, value):
+        out = tmp_path / "cohort"
+        assert main(["phantom", "--out", str(out), flag, value]) == 2
+        assert not out.exists()
 
 
 class TestFeaturesCommand:
@@ -122,6 +131,52 @@ class TestFeaturesCommand:
         assert rc == 0
         lines = (tmp_path / "o2" / "features_v1.csv").read_text().splitlines()
         assert len(lines) == 2 + 8 * 3         # one subject dropped
+
+
+class TestFeaturesStage:
+    """The features stage on a 3/3/3 cohort (seed 0), run from relative
+    paths so the provenance digests do not depend on the temp directory."""
+
+    # sha256 of each file as the pipeline wrote it before shape features
+    # were computed once per label map; any byte change is a regression
+    # (a version bump changes the provenance line, and these with it)
+    DIGESTS = {
+        "feats/features_v1.csv":
+            "e39f225425ab484c0201971559eadf23bc975e9f2ddc17f6108e59f7f0242a99",
+        "feats/features_v2.csv":
+            "2724ea40573ee56873d78cb75830ae41d5b5b46cdb8745973f29403d6ea2acd3",
+        "feats/features_v3.csv":
+            "80b3908d51a6c2024f1961b26b36ef4be75f8616e9b3215b797e7c73aa0e30ac",
+        "feats/features_shape.csv":
+            "2ffc78b42d1ba8116a5c99070fca92a17a1b58483c44d8285f216d283a561005",
+        "volumetrics.csv":
+            "e035a42c32ffd055aa169cf20d99e01b8114cff70ecf95ff5e51d81b12fe2c38",
+        "stats/stats.json":
+            "9d6c847baebc09876f6b404ae2aaf76a45793be36e57b52198fde85975577673",
+    }
+
+    def test_shape_once_per_subject_and_bytes_unchanged(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["phantom", "--out", "cohort", "--n-per-grade", "3,3,3",
+                     "--seed", "0"]) == 0
+        calls = []
+        real = features.shape_block
+
+        def counting(lm):
+            calls.append(lm)
+            return real(lm)
+
+        monkeypatch.setattr(features, "shape_block", counting)
+        monkeypatch.setattr(cli, "shape_block", counting, raising=False)
+        assert main(["features", "cohort/manifest.csv", "--out", "feats"]) == 0
+        assert len(calls) == 9
+        assert main(["volumetrics", "cohort/manifest.csv",
+                     "--out", "volumetrics.csv"]) == 0
+        assert main(["stats", "volumetrics.csv", "--out", "stats"]) == 0
+        digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                   for name in self.DIGESTS}
+        assert digests == self.DIGESTS
 
 
 class TestVolumetricsCommand:

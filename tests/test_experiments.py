@@ -10,7 +10,7 @@ from gliomics.experiments import (CLASSIFIERS, EXPERIMENTS,
                                   cohort_feature_matrix, read_feature_table,
                                   run_experiment, run_once, summary_csv_rows,
                                   write_feature_table)
-from gliomics.features import KIND_LENGTHS
+from gliomics.features import KIND_LENGTHS, extract_all
 from gliomics.phantom import generate_cohort
 
 FAST_CFG = TrainConfig(max_iters=15, svm_c_grid=(1.0,), rbf_gamma_grid=(1.0,))
@@ -86,10 +86,17 @@ class TestFeatureTables:
 
 class TestCohortFeatureMatrix:
     def test_shapes_per_kind(self, tiny_cohort):
+        full = [extract_all(s.volumes["t1_post"], s.labelmap)
+                for s in tiny_cohort.subjects]
         for kind, n in KIND_LENGTHS.items():
             X, grades = cohort_feature_matrix(tiny_cohort, "t1_post", kind)
             assert X.shape == (9, n)
             assert np.array_equal(grades, np.repeat([2, 3, 4], 3))
+            assert np.array_equal(X, [vecs[kind].values for vecs in full])
+
+    def test_unknown_kind(self, tiny_cohort):
+        with pytest.raises(ValueError, match="unknown feature kind"):
+            cohort_feature_matrix(tiny_cohort, "t1_post", "v9")
 
 
 class TestRunProtocol:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gliomics.errors import (GeometryMismatch, LengthMismatch,
                              NegativeProbability)
-from gliomics.features import (FeatureVector, build_v1, build_v2, build_v3,
-                               connected_components, ellipse_perimeter,
-                               extract_all, intensity_block, region_histogram,
-                               shannon_entropy, shape_block, shape_features)
+from gliomics.features import (TUMOR_LABELS, FeatureVector, _component_shape,
+                               _convex_hull, _hull_pixel_count, build_v1,
+                               build_v2, build_v3, connected_components,
+                               ellipse_perimeter, extract_all, intensity_block,
+                               region_histogram, shannon_entropy, shape_block,
+                               shape_features)
 from gliomics.volume import LabelMap, Volume
 
 from conftest import make_labelmap
@@ -344,3 +346,104 @@ class TestShape:
         blk_small = shape_features(comp_small, (1.0, 1.0, 1.0)).to_array()
         expected = 0.75 * blk_big + 0.25 * blk_small
         assert np.allclose(shape_block(lm).values[0:4], expected)
+
+
+def reference_hull(points):
+    """Monotone chain over every distinct point, counter-clockwise."""
+    pts = np.unique(np.asarray(points), axis=0)
+    if len(pts) <= 2:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower, upper = half(pts), half(pts[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def reference_hull_pixel_count(points):
+    """Lattice points on or inside the reference hull, tested one by one."""
+    pts = np.unique(np.asarray(points), axis=0)
+    hull = [tuple(int(c) for c in p) for p in reference_hull(pts)]
+    if len(hull) <= 2:
+        return len(pts)
+    (i0, j0), (i1, j1) = pts.min(axis=0), pts.max(axis=0)
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    return sum(all((b[0] - a[0]) * (j - a[1]) - (b[1] - a[1]) * (i - a[0]) >= 0
+                   for a, b in edges)
+               for i in range(i0, i1 + 1) for j in range(j0, j1 + 1))
+
+
+def reference_shape_block(lm):
+    """shape_block with every label split over the full grid, uncropped."""
+    out = []
+    for lab in TUMOR_LABELS:
+        comps = connected_components(lm.data == lab)
+        if not comps:
+            out.append(np.zeros(4))
+            continue
+        blocks, weights = [], []
+        for comp in comps:
+            blk, area = _component_shape(comp, lm.spacing)
+            blocks.append(blk.to_array())
+            weights.append(area)
+        w = np.asarray(weights) / np.sum(weights)
+        out.append(np.sum(np.stack(blocks) * w[:, None], axis=0))
+    return np.concatenate(out)
+
+
+@st.composite
+def label_maps(draw):
+    """Small label maps holding boxes and scattered voxels of labels 1..5.
+
+    Boxes of one size and single voxels give many components of equal
+    voxel count, so the tie rule decides their order.
+    """
+    dims = draw(st.tuples(*[st.integers(4, 10)] * 3))
+    data = np.zeros(dims, dtype=np.int16)
+    for _ in range(draw(st.integers(1, 8))):
+        size = draw(st.tuples(*[st.integers(1, 3)] * 3))
+        corner = [draw(st.integers(0, d - s)) for d, s in zip(dims, size)]
+        box = tuple(slice(c, c + s) for c, s in zip(corner, size))
+        data[box] = draw(st.integers(1, 5))
+    voxels = draw(st.lists(st.tuples(*[st.integers(0, d - 1) for d in dims]),
+                           max_size=12))
+    for voxel in voxels:
+        data[voxel] = draw(st.integers(1, 5))
+    spacing = draw(st.tuples(*[st.sampled_from((0.5, 0.9, 1.0, 1.3))] * 3))
+    return LabelMap(data, spacing, np.diag([*spacing, 1.0]))
+
+
+pixel_sets = st.lists(st.tuples(st.integers(-3, 6), st.integers(-3, 6)),
+                      min_size=1, max_size=40)
+
+
+class TestShapeAgainstReference:
+    @given(pixel_sets)
+    @example([(2, 0), (2, 4), (2, 1), (2, 3)])            # one row
+    @example([(0, 3), (4, 3), (1, 3), (2, 3)])            # one column
+    @example([(0, 0), (1, 1), (2, 2), (3, 3), (1, 1)])    # diagonal
+    @example([(0, 0), (2, 1), (4, 2)])                    # collinear, gaps
+    @example([(1, 1), (1, 1), (3, 2), (3, 2), (0, 4)])    # duplicates
+    @example([(5, 5)])
+    @settings(max_examples=300, deadline=None)
+    def test_hull_matches_chain_over_all_points(self, points):
+        ij = np.array(points)
+        assert np.array_equal(_convex_hull(ij), reference_hull(ij))
+        assert _hull_pixel_count(ij) == reference_hull_pixel_count(ij)
+
+    @given(label_maps())
+    @settings(max_examples=200, deadline=None)
+    def test_shape_block_matches_uncropped_path(self, lm):
+        assert np.array_equal(shape_block(lm).values,
+                              reference_shape_block(lm))
