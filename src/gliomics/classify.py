@@ -10,14 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMatrix
-from .mlp import MlpModel, mlp_gradient_check, train_mlp
-from .svm import Kernel, OvaSvm, SvmModel, train_ova, train_svm_binary
-
-__all__ = [
-    "TrainConfig", "Standardizer", "fit_standardizer",
-    "select_svm_hyperparams", "Kernel", "SvmModel", "OvaSvm", "MlpModel",
-    "train_svm_binary", "train_ova", "train_mlp", "mlp_gradient_check",
-]
+from .svm import Kernel, train_ova
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -100,20 +102,27 @@ def cmd_subtract(args) -> int:
 # ---------------------------------------------------------------- features
 
 def _extract_subject(row, modalities, kinds):
-    lm = load_labelmap(row["labelmap"])
-    # shape depends on the label map alone: one computation serves every
-    # modality's row
-    shape = shape_block(lm).values if "shape" in kinds else None
-    out = {}
-    for modality in modalities:
-        v = load_volume(row[modality])
-        out[modality] = {kind: shape if kind == "shape"
-                         else build_kind(kind, v, lm).values
-                         for kind in kinds}
+    """One subject's feature vectors, or the ``GliomicsError`` it hit,
+    returned so that it comes back alike from this or a worker process."""
+    try:
+        lm = load_labelmap(row["labelmap"])
+        # shape depends on the label map alone: one computation serves
+        # every modality's row
+        shape = shape_block(lm).values if "shape" in kinds else None
+        out = {}
+        for modality in modalities:
+            v = load_volume(row[modality])
+            out[modality] = {kind: shape if kind == "shape"
+                             else build_kind(kind, v, lm).values
+                             for kind in kinds}
+    except GliomicsError as exc:
+        return exc
     return row["subject_id"], row["grade"], out
 
 
 def cmd_features(args) -> int:
+    if args.jobs < 1:
+        raise GliomicsError(f"--jobs must be at least 1, got {args.jobs}")
     rows, modalities = read_manifest(args.manifest)
     if not rows:
         raise GliomicsError(f"manifest {args.manifest} lists no subjects")
@@ -121,26 +130,19 @@ def cmd_features(args) -> int:
     for kind in kinds:
         if kind not in KIND_LENGTHS:
             raise GliomicsError(f"unknown feature kind {kind!r}")
+    extract = partial(_extract_subject, modalities=modalities, kinds=kinds)
     results = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(_extract_subject, r, modalities, kinds): r
-                       for r in rows}
-            for fut, row in futures.items():
-                try:
-                    results.append(fut.result())
-                except GliomicsError as exc:
-                    if not args.skip_errors:
-                        raise
-                    log.warning("skipping %s: %s", row["subject_id"], exc)
-    else:
-        for row in rows:
-            try:
-                results.append(_extract_subject(row, modalities, kinds))
-            except GliomicsError as exc:
-                if not args.skip_errors:
-                    raise
-                log.warning("skipping %s: %s", row["subject_id"], exc)
+    # one job runs in this process, with no pool to start
+    with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
+          else nullcontext()) as pool:
+        outcomes = pool.map(extract, rows) if pool else map(extract, rows)
+        for row, outcome in zip(rows, outcomes):
+            if not isinstance(outcome, GliomicsError):
+                results.append(outcome)
+            elif args.skip_errors:
+                log.warning("skipping %s: %s", row["subject_id"], outcome)
+            else:
+                raise outcome
     if not results:
         raise GliomicsError("no subject could be processed")
     results.sort(key=lambda r: r[0])

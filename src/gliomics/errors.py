@@ -31,6 +31,10 @@ class LabelOutOfRange(GliomicsError):
         self.index = tuple(int(i) for i in index)
         super().__init__(f"label value {value} at voxel {self.index} not in 0..5")
 
+    def __reduce__(self):
+        # the default passes the message alone, which __init__ cannot take
+        return type(self), (self.value, self.index)
+
 
 # --- geometry / resampling ------------------------------------------------
 

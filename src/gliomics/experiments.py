@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import read_csv, write_csv
-from .classify import (TrainConfig, fit_standardizer, select_svm_hyperparams,
-                       train_mlp)
+from .classify import TrainConfig, fit_standardizer, select_svm_hyperparams
 from .errors import GliomicsError
 from .evaluate import SplitSpec, roc_auc, stratified_split
 from .features import KIND_LENGTHS, build_kind
+from .mlp import train_mlp
 
 EXPERIMENTS = (
     ("II-IV", (2, 4)),

@@ -159,15 +159,13 @@ def build_v3(v: Volume, lm: LabelMap) -> FeatureVector:
 _STRUCT_26 = np.ones((3, 3, 3), dtype=bool)
 
 
-def connected_components(mask: np.ndarray, connectivity: int = 26) -> list:
+def connected_components(mask: np.ndarray) -> list:
     """Split a boolean grid into maximal 26-connected components.
 
     Returns boolean masks ordered by decreasing voxel count, ties broken by
     the lexicographically smallest member voxel, so the ordering is
     deterministic for any input.
     """
-    if connectivity != 26:
-        raise ValueError("only 26-connectivity is supported")
     mask = np.asarray(mask).astype(bool)
     labeled, n = ndimage.label(mask, structure=_STRUCT_26)
     if n == 0:
@@ -212,23 +210,24 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
 
 
 def _hull_pixel_count(ij: np.ndarray) -> int:
-    """Number of integer lattice points inside or on the hull of ``ij``."""
+    """Number of integer lattice points inside or on the hull of ``ij``.
+
+    Each row's points form one interval of j, bounded below by the hull
+    edges that run towards larger i and above by those that run back.
+    """
     hull = _convex_hull(ij)
     if len(hull) <= 2:
         # degenerate (point or segment): the hull covers exactly the
         # region's own pixels
         return len(np.unique(ij, axis=0))
-    i0, j0 = ij.min(axis=0)
-    i1, j1 = ij.max(axis=0)
-    gi, gj = np.meshgrid(np.arange(i0, i1 + 1), np.arange(j0, j1 + 1),
-                         indexing="ij")
-    inside = np.ones(gi.shape, dtype=bool)
-    for k in range(len(hull)):
-        a = hull[k]
-        b = hull[(k + 1) % len(hull)]
-        cross = (b[0] - a[0]) * (gj - a[1]) - (b[1] - a[1]) * (gi - a[0])
-        inside &= cross >= -1e-9
-    return int(inside.sum())
+    d = np.roll(hull, -1, axis=0) - hull
+    rows = np.arange(hull[:, 0].min(), hull[:, 0].max() + 1)[:, None]
+    # d_i * (j - a_j) >= num on every edge a -> a + d
+    num = d[:, 1] * (rows - hull[:, 0])
+    fwd, back = d[:, 0] > 0, d[:, 0] < 0
+    lo = (hull[fwd, 1] - (-num[:, fwd] // d[fwd, 0])).max(axis=1)
+    hi = (hull[back, 1] + num[:, back] // d[back, 0]).min(axis=1)
+    return int(np.maximum(hi - lo + 1, 0).sum())
 
 
 def _boundary_perimeter(slice_mask: np.ndarray, sx: float, sy: float) -> float:

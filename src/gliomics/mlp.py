@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import TrainConfig
 from .errors import SingleClass
 
 HIDDEN_UNITS = 20
@@ -130,7 +131,6 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
     never increase the training loss.  Stops early when the validation loss
     has not improved for ``cfg.validation_patience`` consecutive checks.
     """
-    from .classify import TrainConfig
     cfg = cfg or TrainConfig()
     seed = cfg.seed if seed is None else seed
 

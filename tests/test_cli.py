@@ -22,7 +22,7 @@ import pytest
 import gliomics
 from gliomics import cli, features
 from gliomics.cli import build_parser, main
-from gliomics.nifti import read_nifti
+from gliomics.nifti import VOX_OFFSET, read_nifti
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +106,16 @@ class TestFeaturesCommand:
                    "--kinds", "v1,shape", "--out", str(tmp_path),
                    "--jobs", "2"])
         assert rc == 0
-        a = (feature_dir / "features_v1.csv").read_bytes()
-        assert (tmp_path / "features_v1.csv").read_bytes() == a
+        for kind in ("v1", "shape"):
+            a = (feature_dir / f"features_{kind}.csv").read_bytes()
+            assert (tmp_path / f"features_{kind}.csv").read_bytes() == a
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, cohort_dir, tmp_path, jobs):
+        out = tmp_path / "feats"
+        assert main(["features", str(cohort_dir / "manifest.csv"),
+                     "--out", str(out), "--jobs", jobs]) == 2
+        assert not out.exists()
 
     def test_unknown_kind(self, cohort_dir, tmp_path):
         assert main(["features", str(cohort_dir / "manifest.csv"),
@@ -117,20 +125,47 @@ class TestFeaturesCommand:
         assert main(["features", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("corrupt", ["truncated_header", "label_7"])
     def test_corrupt_subject_aborts_unless_skipped(self, cohort_dir,
-                                                   tmp_path):
+                                                   feature_dir, tmp_path,
+                                                   corrupt, jobs):
         broken = tmp_path / "broken"
         shutil.copytree(cohort_dir, broken)
-        seg = broken / "g3_001_seg.nii"
-        seg.write_bytes(seg.read_bytes()[:100])
-        assert main(["features", str(broken / "manifest.csv"),
-                     "--kinds", "v1", "--out", str(tmp_path / "o1")]) == 2
-        rc = main(["features", str(broken / "manifest.csv"),
-                   "--kinds", "v1", "--out", str(tmp_path / "o2"),
-                   "--skip-errors"])
-        assert rc == 0
-        lines = (tmp_path / "o2" / "features_v1.csv").read_text().splitlines()
-        assert len(lines) == 2 + 8 * 3         # one subject dropped
+        subject = CORRUPTIONS[corrupt](broken)
+        manifest = str(broken / "manifest.csv")
+        assert main(["features", manifest, "--kinds", "v1", "--jobs", jobs,
+                     "--out", str(tmp_path / "o1")]) == 2
+        assert not (tmp_path / "o1").exists()
+        for out, n_jobs in (("o2", jobs), ("serial", "1")):
+            assert main(["features", manifest, "--kinds", "v1", "--jobs",
+                         n_jobs, "--out", str(tmp_path / out),
+                         "--skip-errors"]) == 0
+        table = (tmp_path / "o2" / "features_v1.csv").read_bytes()
+        assert table == (tmp_path / "serial" / "features_v1.csv").read_bytes()
+        # header and rows of the clean cohort, less the dropped subject's
+        # three modality rows
+        clean = (feature_dir / "features_v1.csv").read_text().splitlines()[1:]
+        kept = [ln for ln in clean if not ln.startswith(subject + ",")]
+        assert len(kept) == len(clean) - 3
+        assert table.decode().splitlines()[1:] == kept
+
+
+def _truncate_header(cohort):
+    seg = cohort / "g3_001_seg.nii"
+    seg.write_bytes(seg.read_bytes()[:100])         # BadMagic
+    return "g3_001"
+
+
+def _label_7(cohort):
+    seg = cohort / "g2_000_seg.nii"
+    data = bytearray(seg.read_bytes())
+    data[VOX_OFFSET] = 7                            # LabelOutOfRange
+    seg.write_bytes(bytes(data))
+    return "g2_000"
+
+
+CORRUPTIONS = {"truncated_header": _truncate_header, "label_7": _label_7}
 
 
 class TestFeaturesStage:
