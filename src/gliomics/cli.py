@@ -20,6 +20,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -86,10 +87,11 @@ def cmd_subtract(args) -> int:
     pre = load_volume(args.pre)
     post = load_volume(args.post)
     out = Path(args.out)
-    es = EsConfig(seed=args.seed)
-    transform = register_rigid(post, pre, MiConfig(), es)
+    mi, es = MiConfig(), EsConfig(seed=args.seed)
+    transform = register_rigid(post, pre, mi, es)
     sub = subtraction_map(pre, post, transform)
-    config = {"pre": str(args.pre), "post": str(args.post), "es_seed": args.seed}
+    config = {"pre": str(args.pre), "post": str(args.post),
+              "mi": asdict(mi), "es": asdict(es)}
     prov = _provenance(args.seed, config)
     save_volume(sub, out / "subtraction.nii.gz")
     payload = transform.to_json()
@@ -142,6 +144,10 @@ def cmd_features(args) -> int:
             elif args.skip_errors:
                 log.warning("skipping %s: %s", row["subject_id"], outcome)
             else:
+                if pool:
+                    # map() queued every subject; leaving the block would
+                    # wait for all of them
+                    pool.shutdown(cancel_futures=True)
                 raise outcome
     if not results:
         raise GliomicsError("no subject could be processed")

@@ -152,8 +152,9 @@ def read_nifti(path) -> ParsedNifti:
     """Decode a .nii / .nii.gz file into voxel data plus geometry.
 
     Raises MissingFile, BadMagic, UnsupportedDatatype and IoFailure per the
-    failure mode; voxel values are returned as float64 with the header's
-    scl_slope/scl_inter applied when set.
+    failure mode.  Voxel values keep the file's datatype, in native byte
+    order, unless the header's scl_slope/scl_inter apply, which gives
+    float64.
     """
     path = Path(path)
     if not path.is_file():
@@ -194,7 +195,7 @@ def read_nifti(path) -> ParsedNifti:
             if len(payload) < n_vox * dt.itemsize:
                 raise IoFailure(f"{path}: truncated voxel payload")
             data = np.frombuffer(payload, dtype=dt, count=n_vox)
-            data = data.reshape(shape, order="F").astype(np.float64)
+            data = data.reshape(shape, order="F").astype(dt.newbyteorder("="))
 
             slope = float(hdr["scl_slope"])
             inter = float(hdr["scl_inter"])
@@ -204,7 +205,7 @@ def read_nifti(path) -> ParsedNifti:
                 inter = 0.0
             scaled = slope != 0.0 and (slope != 1.0 or inter != 0.0)
             if scaled:
-                data = data * slope + inter
+                data = data.astype(np.float64) * slope + inter
 
             spacing = np.abs(np.asarray(hdr["pixdim"][1:4], dtype=float))
             spacing[spacing == 0] = 1.0

@@ -1,24 +1,38 @@
 """Rigid multi-modal registration and subtraction maps.
 
 The metric is mutual information over a joint intensity histogram: moving
-intensities are linearly interpolated at the transformed fixed-voxel
-positions and binned with per-volume min/max edges.  (This keeps the
+intensities are linearly interpolated at the transformed fixed-image sample
+points and binned with per-volume min/max edges.  (This keeps the
 behaviour of the Mattes metric at desk scale without the B-spline Parzen
 machinery.)  The optimizer is a (1+1) evolutionary strategy with an adaptive
-isotropic mutation radius.
+isotropic mutation radius.  ``register_rigid`` samples off the voxel grid
+and searches coarse to fine (Thevenaz & Unser, IEEE TIP 2000; Mattes et
+al., IEEE TMI 2003).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .artifacts import write_json
 from .errors import InsufficientOverlap, NoImprovement
 from .volume import Volume, resample
+
+log = logging.getLogger(__name__)
+
+# The search's two levels share one set of jittered sample points: the
+# coarse level reads every COARSE_STRIDE-th of them on copies of both volumes
+# smoothed by a Gaussian of COARSE_SIGMA voxels, and hands its pose to the
+# full-resolution level once the mutation radius falls below HANDOVER times
+# EsConfig.epsilon.
+COARSE_STRIDE = 8
+COARSE_SIGMA = 1.0
+HANDOVER = 10.0
 
 # One parameter-space unit ~ 1 mm of translation ~ 1 degree of rotation, so
 # the isotropic Gaussian mutation moves all six axes comparably.
@@ -174,23 +188,20 @@ class EsConfig:
 
 
 class _MiEvaluator:
-    """Precomputed state for repeated MI evaluations against one fixed image."""
+    """Fixed-image samples taken once, for repeated MI evaluations.
 
-    def __init__(self, fixed: Volume, moving: Volume, cfg: MiConfig):
-        self.cfg = cfg
-        self.bins = cfg.bins
-        world = fixed.geometry.index_grid_world()
-        vals = fixed.data.reshape(-1, order="C")
-        # C-order both: np.indices flattens in C order as well
-        if cfg.sample_fraction < 1.0:
-            n = world.shape[1]
-            keep = np.unique(np.round(
-                np.linspace(0, n - 1, max(2, int(round(n * cfg.sample_fraction)))))
-                .astype(np.int64))
-            world = world[:, keep]
-            vals = vals[keep]
-        self.fixed_world = world
-        self.n_samples = world.shape[1]
+    ``index`` holds the sample points in fixed voxel coordinates, shape
+    (3, n).  The fixed image is interpolated there once; each evaluation
+    interpolates the moving image at the same points pushed through the
+    transform.
+    """
+
+    def __init__(self, fixed: Volume, moving: Volume, index: np.ndarray,
+                 bins: int):
+        self.bins = bins
+        self.fixed_world = fixed.affine[:3, :3] @ index + fixed.affine[:3, 3:4]
+        self.n_samples = index.shape[1]
+        vals = map_coordinates(fixed.data, index, order=1, mode="nearest")
         f0, f1, ffrac = self._soft_bins(vals, float(vals.min()), float(vals.max()))
         self.fixed_lo = f0 * self.bins
         self.fixed_hi = f1 * self.bins
@@ -255,19 +266,36 @@ class _MiEvaluator:
         return max(mi, 0.0), overlap
 
 
+def _sample_index(fixed: Volume, cfg: MiConfig) -> np.ndarray:
+    """Fixed voxel indices of the MI sample points, C order, shape (3, n)."""
+    index = np.indices(fixed.dims, dtype=float).reshape(3, -1)
+    if cfg.sample_fraction < 1.0:
+        n = index.shape[1]
+        keep = np.unique(np.round(
+            np.linspace(0, n - 1, max(2, int(round(n * cfg.sample_fraction)))))
+            .astype(np.int64))
+        index = index[:, keep]
+    return index
+
+
 def mutual_information(fixed: Volume, moving: Volume, t: RigidTransform,
                        cfg: MiConfig = MiConfig()) -> float:
-    """MI in bits between ``fixed`` and ``moving`` pushed through ``t``.
+    """MI in bits between ``fixed`` and ``moving`` pushed through ``t``,
+    sampled at the fixed voxel centres.
 
     Raises InsufficientOverlap when fewer than ``cfg.min_overlap_fraction``
     of the fixed samples land inside the moving volume.
     """
-    ev = _MiEvaluator(fixed, moving, cfg)
+    ev = _MiEvaluator(fixed, moving, _sample_index(fixed, cfg), cfg.bins)
     mi, overlap = ev.evaluate(t.matrix())
     if overlap < cfg.min_overlap_fraction:
         raise InsufficientOverlap(
             f"only {overlap:.1%} of fixed voxels map into the moving volume")
     return mi
+
+
+def _smoothed(vol: Volume) -> Volume:
+    return vol.with_data(gaussian_filter(vol.data, COARSE_SIGMA))
 
 
 def register_rigid(fixed: Volume, moving: Volume, mi: MiConfig = MiConfig(),
@@ -278,43 +306,73 @@ def register_rigid(fixed: Volume, moving: Volume, mi: MiConfig = MiConfig(),
     Starting from ``initial`` (identity by default), each iteration mutates
     the six parameters by an isotropic Gaussian of the current radius,
     keeps the candidate only if MI improves, and grows/shrinks the radius on
-    success/failure.  Stops when the radius drops below ``es.epsilon`` or
-    after ``es.max_iters`` iterations; the best transform seen is returned,
-    except that gains below ``es.min_gain`` keep the starting transform.
+    success/failure.
+
+    MI is sampled at the fixed voxel centres, each moved by one seeded
+    U(-1/2, 1/2) voxel jitter per axis that holds for the whole search; on
+    the bare grid, linear interpolation raises MI wherever sample points
+    line up with moving voxels, which pulls aligned pairs off the identity.
+    The search runs on two levels of those points: every
+    ``COARSE_STRIDE``-th point of both volumes smoothed by a Gaussian of
+    ``COARSE_SIGMA`` voxels until the radius falls below ``HANDOVER`` times
+    ``es.epsilon``, then every point, unsmoothed, down to ``es.epsilon``.
+    ``es.max_iters`` bounds the candidates of both levels together.
+
+    The best transform seen is returned, except that a full-resolution MI
+    gain below ``es.min_gain`` keeps the starting transform.  With
+    ``return_trace`` the full-resolution level's accepted MI values come
+    back as well, starting from its MI at the hand-over pose.
     Deterministic for a given seed.
     """
     center = fixed.geometry.world_center()
-    ev = _MiEvaluator(fixed, moving, mi)
+    rng = np.random.default_rng(es.seed)
+    index = _sample_index(fixed, mi)
+    upper = np.asarray(fixed.dims, dtype=float).reshape(3, 1) - 1.0
+    index = np.clip(index + rng.uniform(-0.5, 0.5, size=index.shape),
+                    0.0, upper)
+    fine = _MiEvaluator(fixed, moving, index, mi.bins)
     start = initial if initial is not None else RigidTransform.identity(center)
-    p = start.params()
 
-    cur_mi, overlap = ev.evaluate(RigidTransform.from_params(p, center).matrix())
-    if overlap < mi.min_overlap_fraction:
-        raise InsufficientOverlap(
-            f"initial overlap {overlap:.1%} below {mi.min_overlap_fraction:.1%}")
-    start_mi = cur_mi
+    def evaluate(ev, p):
+        return ev.evaluate(RigidTransform.from_params(p, center).matrix())
 
-    radius = es.initial_radius
-    if es.max_iters == 0 or radius < es.epsilon:
+    start_mi, start_overlap = evaluate(fine, start.params())
+    if start_overlap < mi.min_overlap_fraction:
+        raise InsufficientOverlap(f"initial overlap {start_overlap:.1%} below "
+                                  f"{mi.min_overlap_fraction:.1%}")
+    if es.max_iters == 0 or es.initial_radius < es.epsilon:
         raise NoImprovement("no mutation budget before radius collapse")
 
-    rng = np.random.default_rng(es.seed)
-    trace = [cur_mi]
-    for _ in range(es.max_iters):
-        if radius < es.epsilon:
-            break
-        cand = p + radius * rng.standard_normal(6)
-        cand_mi, overlap = ev.evaluate(
-            RigidTransform.from_params(cand, center).matrix())
-        if overlap >= mi.min_overlap_fraction and cand_mi > cur_mi:
-            p, cur_mi = cand, cand_mi
-            radius *= es.growth
-            trace.append(cur_mi)
-        else:
-            radius *= es.shrink
+    coarse = _MiEvaluator(_smoothed(fixed), _smoothed(moving),
+                          index[:, ::COARSE_STRIDE], mi.bins)
+    p, radius, budget = start.params(), es.initial_radius, es.max_iters
+    counts = []
+    for ev, floor in ((coarse, HANDOVER * es.epsilon), (fine, es.epsilon)):
+        cur_mi, overlap = evaluate(ev, p)
+        trace, evals = [cur_mi], 0
+        while evals < budget and radius >= floor:
+            cand = p + radius * rng.standard_normal(6)
+            cand_mi, cand_overlap = evaluate(ev, cand)
+            evals += 1
+            if cand_overlap >= mi.min_overlap_fraction and cand_mi > cur_mi:
+                p, cur_mi, overlap = cand, cand_mi, cand_overlap
+                radius *= es.growth
+                trace.append(cur_mi)
+            else:
+                radius *= es.shrink
+        budget -= evals
+        counts += [evals, len(trace) - 1]
 
-    best = (start if cur_mi - start_mi < es.min_gain
-            else RigidTransform.from_params(p, center))
+    gain = cur_mi - start_mi
+    if gain < es.min_gain:
+        best, overlap = start, start_overlap
+    else:
+        best = RigidTransform.from_params(p, center)
+    log.debug("register: coarse %d evals %d accepted, fine %d evals "
+              "%d accepted, final radius %.4g, MI gain %.4g bits%s, "
+              "overlap %.4f", *counts, radius, gain,
+              " (below min_gain, start kept)" if best is start else "",
+              overlap)
     if return_trace:
         return best, trace
     return best

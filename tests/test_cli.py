@@ -8,12 +8,16 @@ downstream artifacts are built once per module because phantom generation
 dominates the runtime.
 """
 
+import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +27,7 @@ import gliomics
 from gliomics import cli, features
 from gliomics.cli import build_parser, main
 from gliomics.nifti import VOX_OFFSET, read_nifti
+from gliomics.registration import EsConfig, MiConfig
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +154,33 @@ class TestFeaturesCommand:
         kept = [ln for ln in clean if not ln.startswith(subject + ",")]
         assert len(kept) == len(clean) - 3
         assert table.decode().splitlines()[1:] == kept
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched extractor")
+    def test_first_error_cancels_queued_subjects(self, cohort_dir, tmp_path,
+                                                 monkeypatch):
+        broken = tmp_path / "broken"
+        shutil.copytree(cohort_dir, broken)
+        assert _label_7(broken) == "g2_000"     # first in the manifest
+        touched = tmp_path / "touched"
+        touched.mkdir()
+        monkeypatch.setattr(cli, "_extract_subject",
+                            partial(_touch_then_extract, touched))
+        assert main(["features", str(broken / "manifest.csv"), "--kinds",
+                     "v1", "--jobs", "2", "--out", str(tmp_path / "o")]) == 2
+        assert 1 <= len(list(touched.iterdir())) < 9
+
+
+def _touch_then_extract(touched, row, *args, **kwargs):
+    """``_extract_subject`` that first leaves a marker file per subject in
+    ``touched``, so a test can count the subjects worker processes started."""
+    (touched / row["subject_id"]).touch()
+    if row["subject_id"] != "g2_000":
+        time.sleep(0.2)     # the failing subject comes back first
+    return _REAL_EXTRACT(row, *args, **kwargs)
+
+
+_REAL_EXTRACT = cli._extract_subject
 
 
 def _truncate_header(cohort):
@@ -343,6 +375,35 @@ class TestSubtractCommand:
         assert t["rotation_rad"] == [0.0, 0.0, 0.0]
         assert t["translation_mm"] == [0.0, 0.0, 0.0]
         assert t["provenance"]["seed"] == 0
+
+    def test_debug_log_reports_search_and_keeps_bytes(self, cohort_dir,
+                                                      tmp_path):
+        argv = ["subtract", str(cohort_dir / "g2_000_t1_pre.nii"),
+                str(cohort_dir / "g2_000_t1_post.nii"), "--seed", "3"]
+        assert main([*argv, "--out", str(tmp_path / "quiet")]) == 0
+        out = subprocess.run(
+            [sys.executable, "-m", "gliomics", *argv,
+             "--out", str(tmp_path / "debug")], capture_output=True,
+            text=True, env={**_source_env(), "GLIOMICS_LOG": "debug"})
+        assert out.returncode == 0, out.stderr
+        lines = [ln for ln in out.stderr.splitlines() if "register:" in ln]
+        assert len(lines) == 1
+        for field in ("coarse", "fine", "evals", "accepted", "final radius",
+                      "MI gain", "overlap"):
+            assert field in lines[0]
+        for name in ("transform.json", "subtraction.nii.gz"):
+            assert (tmp_path / "quiet" / name).read_bytes() == \
+                (tmp_path / "debug" / name).read_bytes()
+
+    def test_provenance_digests_effective_config(self, cohort_dir, tmp_path):
+        pre = str(cohort_dir / "g2_000_t1_pre.nii")
+        assert main(["subtract", pre, pre, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "transform.json").read_text())
+        config = {"pre": pre, "post": pre,
+                  "mi": dataclasses.asdict(MiConfig()),
+                  "es": dataclasses.asdict(EsConfig(seed=0))}
+        assert payload["provenance"]["config_digest"] == \
+            cli._config_digest(config)
 
     def test_missing_input(self, tmp_path):
         assert main(["subtract", str(tmp_path / "a.nii"),

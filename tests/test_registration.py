@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gliomics import registration
 from gliomics.errors import InsufficientOverlap, NoImprovement
-from gliomics.phantom import smooth_blob_volume
+from gliomics.phantom import generate_cohort, smooth_blob_volume
 from gliomics.registration import (EsConfig, MiConfig, RigidTransform,
                                    load_transform, mutual_information,
                                    register_rigid, save_transform,
@@ -143,6 +144,43 @@ class TestRegisterRigid:
         a = register_rigid(blob32, moved, **kw)
         b = register_rigid(blob32, moved, **kw)
         assert a == b  # bit-identical, not merely close
+
+    @pytest.mark.parametrize("k", [1, 40, 450])
+    def test_max_iters_bounds_both_levels(self, blob24, monkeypatch, k):
+        true = RigidTransform((0.03, 0, 0), (1.5, -1.0, 0.5),
+                              tuple(blob24.geometry.world_center()))
+        moved = resample(blob24, blob24.geometry, mode="linear",
+                         world_map=true.matrix())
+        calls = []
+        real = registration.map_coordinates
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(registration, "map_coordinates", counting)
+        # unbounded, this search spends 348 candidates on the coarse level
+        # and 209 on the full-resolution one, so 450 reaches both
+        register_rigid(blob24, moved, es=EsConfig(max_iters=k, seed=5))
+        # one interpolation per candidate, plus five that are not: the
+        # fixed image at both levels, the starting pose at both levels and
+        # the hand-over pose at full resolution
+        assert len(calls) <= k + 5
+
+    def test_aligned_phantom_pairs_stay_put(self):
+        # t1_pre and t1_post share one label map, so the true transform is
+        # the identity; on the bare voxel grid MI drifts 1.8-2.7 degrees
+        cohort = generate_cohort(n_per_grade=(3, 3, 3), base_seed=0)
+        worst = []
+        for subject in cohort.subjects:
+            post = subject.volumes["t1_post"]
+            pre = subject.volumes["t1_pre"]
+            p = register_rigid(post, pre, MiConfig(), EsConfig(seed=0)).params()
+            worst.append((float(np.abs(p[:3]).max()),
+                          float(np.abs(p[3:]).max())))
+        assert len(worst) == 9
+        assert max(deg for deg, _ in worst) <= 0.5
+        assert max(mm for _, mm in worst) <= 0.5
 
     def test_no_budget_raises(self, blob24):
         with pytest.raises(NoImprovement):

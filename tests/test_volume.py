@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gliomics import nifti
 from gliomics.errors import (GeometryMismatch, LabelOutOfRange, ModeMismatch,
                              UnsupportedDatatype)
 from gliomics.volume import (GridGeometry, LabelMap, Volume, load_labelmap,
@@ -142,6 +143,24 @@ class TestFileRoundTrips:
         save_labelmap(lm, p)
         back = load_labelmap(p)
         assert np.array_equal(back.data, lm.data)
+
+    def test_bad_label_reported_as_stored_integer(self, tmp_path):
+        data = np.zeros((3, 3, 3), dtype=np.uint8)
+        data[0, 0, 0] = 7
+        p = tmp_path / "lm.nii"
+        nifti.write_nifti(p, data, (1, 1, 1), np.eye(4), np.uint8)
+        with pytest.raises(LabelOutOfRange) as exc:
+            load_labelmap(p)
+        assert exc.value.value == 7 and isinstance(exc.value.value, int)
+        assert str(exc.value).startswith("label value 7 at voxel (0, 0, 0) ")
+
+    def test_volume_is_float64_from_any_datatype(self, tmp_path):
+        data = np.arange(8, dtype=np.int16).reshape(2, 2, 2)
+        p = tmp_path / "v.nii"
+        nifti.write_nifti(p, data, (1, 1, 1), np.eye(4), np.int16)
+        back = load_volume(p)
+        assert back.data.dtype == np.float64
+        assert np.array_equal(back.data, data)
 
     def test_float_file_rejected_as_labelmap(self, tmp_path, identity_volume):
         p = tmp_path / "f.nii"
