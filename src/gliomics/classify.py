@@ -6,35 +6,43 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import EmptyMatrix
-from .svm import Kernel, train_ova
+from .svm import SMO_MAX_PASSES, SMO_TOL, Kernel, train_ova
+
+
+def _positive(value, kind) -> bool:
+    # bool is an Integral too, but a JSON true is not a count
+    return isinstance(value, kind) and not isinstance(value, bool) and value > 0
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    seed: int = 0
     max_iters: int = 200
     cg_restart_interval: int = None     # None -> parameter count
     validation_patience: int = 6        # early-stop checks without progress
     svm_c_grid: tuple = (0.1, 1.0, 10.0, 100.0)
     rbf_gamma_grid: tuple = (0.25, 1.0, 4.0)   # multiples of 1/n_features
-    smo_tolerance: float = 1e-3
-    smo_max_passes: int = 10_000
+    smo_tolerance: float = SMO_TOL
+    smo_max_passes: int = SMO_MAX_PASSES
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.validation_patience <= 0:
-            raise ValueError("max_iters and validation_patience must be positive")
-        if self.cg_restart_interval is not None and self.cg_restart_interval <= 0:
-            raise ValueError("cg_restart_interval must be positive when set")
-        if self.smo_tolerance <= 0 or self.smo_max_passes <= 0:
-            raise ValueError("smo settings must be positive")
-        if not self.svm_c_grid or any(c <= 0 for c in self.svm_c_grid):
-            raise ValueError("svm_c_grid must be positive values")
-        if not self.rbf_gamma_grid or any(g <= 0 for g in self.rbf_gamma_grid):
-            raise ValueError("rbf_gamma_grid must be positive values")
+        counts = (self.max_iters, self.validation_patience, self.smo_max_passes,
+                  1 if self.cg_restart_interval is None
+                  else self.cg_restart_interval)
+        if not all(_positive(v, Integral) for v in counts):
+            raise ValueError("max_iters, validation_patience, smo_max_passes "
+                             "and a set cg_restart_interval must be positive "
+                             "integers")
+        if not (self.svm_c_grid and self.rbf_gamma_grid and all(
+                _positive(v, Real) for v in (self.smo_tolerance,
+                                             *self.svm_c_grid,
+                                             *self.rbf_gamma_grid))):
+            raise ValueError("smo_tolerance and the svm_c_grid and "
+                             "rbf_gamma_grid values must be positive numbers")
 
 
 @dataclass(frozen=True)
@@ -78,13 +86,12 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
 
 
 def select_svm_hyperparams(X_tr, y_tr, X_val, y_val, kernel_name: str,
-                           cfg: TrainConfig = None):
+                           cfg: TrainConfig = TrainConfig()):
     """Grid-search C (and gamma for rbf) by validation accuracy.
 
     Inputs are already standardized.  Ties keep the earliest grid entry, so
     selection is deterministic.  Returns (kernel, C, fitted OvaSvm).
     """
-    cfg = cfg or TrainConfig()
     d = np.asarray(X_tr).shape[1]
     if kernel_name == "linear":
         kernels = [Kernel("linear")]

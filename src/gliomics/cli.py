@@ -57,24 +57,40 @@ def _provenance(seed: int, config: dict) -> dict:
             "seed": seed}
 
 
-def _load_config(path):
+_CONFIG_KEYS = ("classifiers", "experiments", "n_runs", "train")
+
+
+def _load_config(path) -> dict:
+    """The train-eval config file as a dict ({} without one)."""
     if path is None:
         return {}
     p = Path(path)
     if not p.is_file():
         raise GliomicsError(f"config file not found: {p}")
     try:
-        return json.loads(p.read_text())
+        config = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise GliomicsError(f"config {p} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict) or not set(config) <= set(_CONFIG_KEYS):
+        raise GliomicsError(f"config {p} must be a JSON object with keys "
+                            f"from {list(_CONFIG_KEYS)}")
+    return config
 
 
-def _train_config(config: dict, seed: int) -> TrainConfig:
-    fields = dict(config.get("train", {}))
-    fields.setdefault("seed", seed)
-    for key in ("svm_c_grid", "rbf_gamma_grid"):
-        if key in fields:
-            fields[key] = tuple(fields[key])
+def _config_names(config: dict, key: str, known) -> list:
+    names = config.get(key, list(known))
+    if not isinstance(names, list) or not all(n in known for n in names):
+        raise GliomicsError(f"config {key} must be a list from {list(known)}, "
+                            f"got {names!r}")
+    return names
+
+
+def _train_config(train) -> TrainConfig:
+    if not isinstance(train, dict):
+        raise GliomicsError(f"config train must be a JSON object, got {train!r}")
+    # JSON has no tuples; the grids arrive as lists
+    fields = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in train.items()}
     try:
         return TrainConfig(**fields)
     except (TypeError, ValueError) as exc:
@@ -197,21 +213,21 @@ def cmd_volumetrics(args) -> int:
 
 def cmd_train_eval(args) -> int:
     config = _load_config(args.config)
-    classifiers = config.get("classifiers", list(CLASSIFIERS))
-    experiments = config.get("experiments", [name for name, _ in EXPERIMENTS])
-    n_runs = int(config.get("n_runs", args.runs))
-    known_experiments = dict(EXPERIMENTS)
-    for c in classifiers:
-        if c not in CLASSIFIERS:
-            raise GliomicsError(f"unknown classifier {c!r} in config")
-    for e in experiments:
-        if e not in known_experiments:
-            raise GliomicsError(f"unknown experiment {e!r} in config")
-    cfg = _train_config(config, args.seed)
+    classifiers = _config_names(config, "classifiers", CLASSIFIERS)
+    experiments = _config_names(config, "experiments",
+                                [name for name, _ in EXPERIMENTS])
+    n_runs = config.get("n_runs", args.runs)
+    if type(n_runs) is not int or n_runs < 1:   # bool is no count
+        raise GliomicsError(f"need a positive whole number of runs, "
+                            f"got {n_runs!r}")
+    cfg = _train_config(config.get("train", {}))
 
     out = Path(args.out)
-    prov = _provenance(args.seed, {"config": config,
-                                   "tables": [str(p) for p in args.features]})
+    # the settings the grid runs with, however they were given
+    prov = _provenance(args.seed, {
+        "classifiers": classifiers, "experiments": experiments,
+        "n_runs": n_runs, "train": asdict(cfg),
+        "tables": [str(p) for p in args.features]})
     summaries, reports = [], {}
     for table_path in args.features:
         meta, X, kind = read_feature_table(table_path)

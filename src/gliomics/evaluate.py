@@ -14,19 +14,11 @@ import numpy as np
 from .errors import ClassTooSmall, LengthMismatch, SingleClass
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    fractions: tuple = (0.8, 0.1, 0.1)
-    seed: int = 0
-
-    def __post_init__(self):
-        if len(self.fractions) != 3 or any(f <= 0 for f in self.fractions):
-            raise ValueError("need three positive split fractions")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+# train, validation and test shares of every class
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
 
-def stratified_split(grades, spec: SplitSpec = SplitSpec()):
+def stratified_split(grades, seed: int = 0):
     """Per-class 80/10/10 partition -> (train, val, test) index arrays.
 
     Validation and test each get max(1, round(fraction * n)) members of
@@ -34,7 +26,7 @@ def stratified_split(grades, spec: SplitSpec = SplitSpec()):
     three parts and raise ClassTooSmall.  Deterministic given the seed.
     """
     grades = np.asarray(grades)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     train, val, test = [], [], []
     for value in sorted(np.unique(grades).tolist()):
         idx = np.flatnonzero(grades == value)
@@ -42,8 +34,8 @@ def stratified_split(grades, spec: SplitSpec = SplitSpec()):
         if n < 3:
             raise ClassTooSmall(f"class {value} has {n} sample(s); need >= 3")
         perm = rng.permutation(idx)
-        n_val = max(1, int(round(spec.fractions[1] * n)))
-        n_test = max(1, int(round(spec.fractions[2] * n)))
+        n_val = max(1, int(round(SPLIT_FRACTIONS[1] * n)))
+        n_test = max(1, int(round(SPLIT_FRACTIONS[2] * n)))
         if n_val + n_test >= n:
             n_val = n_test = 1
         val.append(perm[:n_val])

@@ -10,14 +10,14 @@ consecutive seeds and reports mean and best accuracy plus AUC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import read_csv, write_csv
 from .classify import TrainConfig, fit_standardizer, select_svm_hyperparams
 from .errors import GliomicsError
-from .evaluate import SplitSpec, roc_auc, stratified_split
+from .evaluate import roc_auc, stratified_split
 from .features import KIND_LENGTHS, build_kind
 from .mlp import train_mlp
 
@@ -69,21 +69,20 @@ def run_once(X: np.ndarray, grades: np.ndarray, classifier: str,
     """One split -> train -> test cycle; returns test accuracy and AUC."""
     if classifier not in CLASSIFIERS:
         raise GliomicsError(f"unknown classifier {classifier!r}")
-    tr, va, te = stratified_split(grades, SplitSpec(seed=seed))
+    tr, va, te = stratified_split(grades, seed)
     std = fit_standardizer(X[tr])
     X_tr, X_va, X_te = std.apply(X[tr]), std.apply(X[va]), std.apply(X[te])
     y_tr, y_va, y_te = grades[tr], grades[va], grades[te]
     classes = sorted(np.unique(y_tr).tolist())
 
-    run_cfg = replace(cfg, seed=seed)
     if classifier == "ann":
-        model = train_mlp(X_tr, y_tr, X_va, y_va, run_cfg, seed=seed)
+        model = train_mlp(X_tr, y_tr, X_va, y_va, cfg, seed)
         pred = model.predict(X_te)
         scores = model.forward(X_te)
     else:
         kernel_name = "linear" if classifier == "svm-linear" else "rbf"
         _, _, model = select_svm_hyperparams(X_tr, y_tr, X_va, y_va,
-                                             kernel_name, run_cfg)
+                                             kernel_name, cfg)
         pred = model.predict(X_te)
         scores = model.decision_matrix(X_te)
 
@@ -106,11 +105,10 @@ def run_once(X: np.ndarray, grades: np.ndarray, classifier: str,
 
 
 def run_experiment(X: np.ndarray, grades: np.ndarray, experiment: str,
-                   classifier: str, cfg: TrainConfig = None,
+                   classifier: str, cfg: TrainConfig = TrainConfig(),
                    n_runs: int = 100, seed0: int = 0,
                    kind: str = "", modality: str = "") -> ExperimentSummary:
     """The full repeated-run protocol for one Table row."""
-    cfg = cfg or TrainConfig()
     if n_runs < 1:
         raise GliomicsError(f"need at least one run, got {n_runs}")
     wanted = dict(EXPERIMENTS).get(experiment)

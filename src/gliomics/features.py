@@ -84,26 +84,27 @@ def _check_mask(v: Volume, mask: np.ndarray) -> np.ndarray:
     return mask.astype(bool)
 
 
-def region_histogram(v: Volume, mask: np.ndarray, bins: int = HIST_BINS) -> np.ndarray:
+def region_histogram(v: Volume, mask: np.ndarray) -> np.ndarray:
     """Normalized histogram over the masked region's own [min, max] range.
 
-    The last bin is closed so the maximum lands in bin ``bins - 1``.
+    The last bin is closed so the maximum lands in bin ``HIST_BINS - 1``.
     Constant regions put all mass in bin 0; empty regions give all zeros.
     """
     mask = _check_mask(v, mask)
     vals = v.data[mask]
     if vals.size == 0:
-        return np.zeros(bins)
+        return np.zeros(HIST_BINS)
     lo, hi = float(vals.min()), float(vals.max())
     if hi <= lo:
-        out = np.zeros(bins)
+        out = np.zeros(HIST_BINS)
         out[0] = 1.0
         return out
     if not np.isfinite(hi - lo):
         # span overflows the float range; halving is exact and keeps ratios
         vals, lo, hi = vals * 0.5, lo * 0.5, hi * 0.5
-    idx = ((vals - lo) * (bins / (hi - lo))).astype(np.int64)
-    counts = np.bincount(np.clip(idx, 0, bins - 1), minlength=bins)
+    idx = ((vals - lo) * (HIST_BINS / (hi - lo))).astype(np.int64)
+    counts = np.bincount(np.clip(idx, 0, HIST_BINS - 1),
+                         minlength=HIST_BINS)
     return counts / vals.size
 
 

@@ -1,10 +1,9 @@
 """Single-hidden-layer network (20 tanh units, softmax output) trained by
 full-batch Polak-Ribiere conjugate gradient on the cross-entropy loss.
 
-The loss is the mean cross-entropy in nats; ``reduction="sum"`` exposes the
-unaveraged form whose gradient is additive over samples.  Training keeps the
-parameter vector flat so the optimizer and the finite-difference gradient
-check share one code path.
+The loss is the mean cross-entropy in nats.  Training keeps the parameter
+vector flat so the optimizer and the finite-difference gradient check share
+one code path.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ HIDDEN_UNITS = 20
 VAL_CHECK_INTERVAL = 5   # iterations between early-stopping checks
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
+GRAD_CHECK_STEP = 1e-5   # central-difference step of mlp_gradient_check
 
 
 @dataclass(frozen=True)
@@ -71,39 +71,32 @@ def _unpack(theta: np.ndarray, d: int, h: int, k: int):
     return w1, b1, w2, b2
 
 
-def init_params(d: int, k: int, seed: int, hidden: int = HIDDEN_UNITS) -> np.ndarray:
+def init_params(d: int, k: int, seed: int) -> np.ndarray:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) per layer, seed-determined."""
     rng = np.random.default_rng(seed)
     lim1 = 1.0 / np.sqrt(d)
-    lim2 = 1.0 / np.sqrt(hidden)
-    w1 = rng.uniform(-lim1, lim1, size=(d, hidden))
-    b1 = rng.uniform(-lim1, lim1, size=hidden)
-    w2 = rng.uniform(-lim2, lim2, size=(hidden, k))
+    lim2 = 1.0 / np.sqrt(HIDDEN_UNITS)
+    w1 = rng.uniform(-lim1, lim1, size=(d, HIDDEN_UNITS))
+    b1 = rng.uniform(-lim1, lim1, size=HIDDEN_UNITS)
+    w2 = rng.uniform(-lim2, lim2, size=(HIDDEN_UNITS, k))
     b2 = rng.uniform(-lim2, lim2, size=k)
     return _pack(w1, b1, w2, b2)
 
 
-def cross_entropy(probs: np.ndarray, onehot: np.ndarray,
-                  reduction: str = "mean") -> float:
-    """Cross-entropy in nats between predicted rows and one-hot targets."""
+def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
+    """Mean cross-entropy in nats between predicted rows and one-hot targets."""
     p = np.clip(probs, 1e-300, None)
     per_sample = -np.sum(onehot * np.log(p), axis=1)
-    if reduction == "mean":
-        return float(per_sample.mean())
-    if reduction == "sum":
-        return float(per_sample.sum())
-    raise ValueError(f"unknown reduction {reduction!r}")
+    return float(per_sample.mean())
 
 
 def loss_and_grad(theta: np.ndarray, X: np.ndarray, onehot: np.ndarray,
-                  d: int, h: int, k: int, reduction: str = "mean"):
-    """Mean (or summed) cross-entropy and its gradient w.r.t. ``theta``."""
+                  d: int, h: int, k: int):
+    """Mean cross-entropy and its gradient w.r.t. ``theta``."""
     w1, b1, w2, b2 = _unpack(theta, d, h, k)
     z, probs = _forward(X, w1, b1, w2, b2)
-    loss = cross_entropy(probs, onehot, reduction)
-    g_logits = probs - onehot
-    if reduction == "mean":
-        g_logits = g_logits / len(X)
+    loss = cross_entropy(probs, onehot)
+    g_logits = (probs - onehot) / len(X)
     g_w2 = z.T @ g_logits
     g_b2 = g_logits.sum(axis=0)
     g_hidden = (g_logits @ w2.T) * (1.0 - z * z)
@@ -121,8 +114,8 @@ def _onehot(labels: np.ndarray, classes) -> np.ndarray:
 
 
 def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
-              labels_val: np.ndarray, cfg=None, seed: int = None,
-              return_history: bool = False):
+              labels_val: np.ndarray, cfg: TrainConfig = TrainConfig(),
+              seed: int = 0, return_history: bool = False):
     """Fit the network; returns the weights with the best validation loss.
 
     Conjugate-gradient directions restart every ``cfg.cg_restart_interval``
@@ -131,9 +124,6 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
     never increase the training loss.  Stops early when the validation loss
     has not improved for ``cfg.validation_patience`` consecutive checks.
     """
-    cfg = cfg or TrainConfig()
-    seed = cfg.seed if seed is None else seed
-
     X = np.asarray(X, dtype=np.float64)
     X_val = np.asarray(X_val, dtype=np.float64)
     classes = tuple(sorted(np.unique(np.asarray(labels)).tolist()))
@@ -201,8 +191,7 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
     return (model, history) if return_history else model
 
 
-def mlp_gradient_check(model: MlpModel, X: np.ndarray, labels,
-                       h_step: float = 1e-5) -> float:
+def mlp_gradient_check(model: MlpModel, X: np.ndarray, labels) -> float:
     """Max relative error of backprop vs central differences, all weights."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = _onehot(np.asarray(labels), model.classes)
@@ -212,10 +201,10 @@ def mlp_gradient_check(model: MlpModel, X: np.ndarray, labels,
     _, analytic = loss_and_grad(theta, X, Y, d, h, k)
     numeric = np.empty_like(analytic)
     for i in range(theta.size):
-        tp = theta.copy(); tp[i] += h_step
-        tm = theta.copy(); tm[i] -= h_step
+        tp = theta.copy(); tp[i] += GRAD_CHECK_STEP
+        tm = theta.copy(); tm[i] -= GRAD_CHECK_STEP
         lp, _ = loss_and_grad(tp, X, Y, d, h, k)
         lm, _ = loss_and_grad(tm, X, Y, d, h, k)
-        numeric[i] = (lp - lm) / (2.0 * h_step)
+        numeric[i] = (lp - lm) / (2.0 * GRAD_CHECK_STEP)
     scale = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / scale))

@@ -62,19 +62,25 @@ COHORT_RATIO_MODEL = {
 
 DEFAULT_MODALITIES = ("t1_pre", "t1_post", "t2")
 
+# Every phantom sits on a 1 mm isotropic grid, so voxel and millimetre
+# distances agree.
+SPACING = (1.0, 1.0, 1.0)
+ENVELOPE_FRACTION = 0.65    # tumor semi-axes as fraction of half-extent
+HETEROGENEITY_SHIFT = 3.0   # second-component offset, in sd units
+SMOOTH_SIGMA = 0.5          # voxels
+
+# smooth_blob_volume: bump count and width range, in voxels
+N_BLOBS = 30
+BLOB_SIGMA_RANGE = (1.5, 3.5)
+
 
 @dataclass(frozen=True)
 class PhantomSpec:
     grade: int
     ratios: dict = None               # label -> percent; defaults to medians
     dims: tuple = (32, 32, 32)
-    spacing: tuple = (1.0, 1.0, 1.0)
     modalities: tuple = DEFAULT_MODALITIES
-    intensities: dict = None          # modality -> label -> (mean, sd)
     heterogeneity: float = None       # second-component mixture weight
-    heterogeneity_shift: float = 3.0  # second-component offset, in sd units
-    envelope_fraction: float = 0.65   # tumor semi-axes as fraction of half-extent
-    smooth_sigma: float = 0.5         # voxels
     seed: int = 0
 
     def __post_init__(self):
@@ -87,9 +93,6 @@ class PhantomSpec:
         total = sum(self.ratios.values())
         if total > 100.0 + 1e-9:
             raise InfeasibleRatios(f"target ratios sum to {total:.2f} > 100")
-        if self.intensities is None:
-            object.__setattr__(self, "intensities",
-                               {m: dict(DEFAULT_INTENSITIES[m]) for m in self.modalities})
         if self.heterogeneity is None:
             object.__setattr__(self, "heterogeneity", HETEROGENEITY[self.grade])
 
@@ -114,21 +117,20 @@ class Cohort:
         return np.array([s.grade for s in self.subjects])
 
 
-def _ellipsoid_radius(dims, spacing, center_idx, semi_axes_mm) -> np.ndarray:
+def _ellipsoid_radius(dims, center_idx, semi_axes) -> np.ndarray:
     grids = np.ogrid[0:dims[0], 0:dims[1], 0:dims[2]]
     r2 = np.zeros(dims)
     for ax in range(3):
-        r2 = r2 + (((grids[ax] - center_idx[ax]) * spacing[ax])
-                   / semi_axes_mm[ax]) ** 2
+        r2 = r2 + ((grids[ax] - center_idx[ax]) / semi_axes[ax]) ** 2
     return np.sqrt(r2)
 
 
 def _assign_labels(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
-    dims, spacing = spec.dims, spec.spacing
-    half_mm = np.asarray(dims) * np.asarray(spacing) / 2.0
-    axes = spec.envelope_fraction * half_mm * rng.uniform(0.8, 1.0, size=3)
+    dims = spec.dims
+    half = np.asarray(dims) / 2.0
+    axes = ENVELOPE_FRACTION * half * rng.uniform(0.8, 1.0, size=3)
     center = (np.asarray(dims) - 1) / 2.0 + rng.uniform(-0.05, 0.05, size=3) * np.asarray(dims)
-    r = _ellipsoid_radius(dims, spacing, center, axes)
+    r = _ellipsoid_radius(dims, center, axes)
 
     env_flat = np.flatnonzero((r <= 1.0).ravel())
     n_env = env_flat.size
@@ -158,7 +160,7 @@ def _assign_labels(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
     # non-enhancing and cyst become side lobes: bias the ordering score along
     # a random direction so they are not perfect concentric shells
     coords = np.stack(np.unravel_index(remaining, dims)).astype(float)
-    centered = (coords - center[:, None]) * np.asarray(spacing)[:, None]
+    centered = coords - center[:, None]
     rem_r = r.ravel()[remaining]
     taken = np.zeros(remaining.size, dtype=bool)
     for lab in (3, 4):
@@ -176,7 +178,6 @@ def _assign_labels(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _synth_modality(labels: np.ndarray, table: dict, weight: float,
-                    shift: float, sigma: float,
                     rng: np.random.Generator) -> np.ndarray:
     mean0, sd0 = table[0]
     arr = rng.normal(mean0, sd0, size=labels.shape)
@@ -188,11 +189,9 @@ def _synth_modality(labels: np.ndarray, table: dict, weight: float,
         mu, sd = table[lab]
         second = rng.random(n) < weight
         vals = rng.normal(mu, sd, size=n)
-        vals[second] += shift * sd
+        vals[second] += HETEROGENEITY_SHIFT * sd
         arr[mask] = vals
-    if sigma > 0:
-        arr = gaussian_filter(arr, sigma=sigma)
-    return arr
+    return gaussian_filter(arr, sigma=SMOOTH_SIGMA)
 
 
 def generate_phantom(spec: PhantomSpec):
@@ -204,14 +203,13 @@ def generate_phantom(spec: PhantomSpec):
     """
     rng = np.random.default_rng(spec.seed)
     labels, _ = _assign_labels(spec, rng)
-    affine = np.diag([*spec.spacing, 1.0])
-    lm = LabelMap(labels, spec.spacing, affine)
+    affine = np.diag([*SPACING, 1.0])
+    lm = LabelMap(labels, SPACING, affine)
     vols = {}
     for modality in spec.modalities:
-        arr = _synth_modality(labels, spec.intensities[modality],
-                              spec.heterogeneity, spec.heterogeneity_shift,
-                              spec.smooth_sigma, rng)
-        vols[modality] = Volume(arr, spec.spacing, affine)
+        arr = _synth_modality(labels, DEFAULT_INTENSITIES[modality],
+                              spec.heterogeneity, rng)
+        vols[modality] = Volume(arr, SPACING, affine)
     return vols, lm
 
 
@@ -229,8 +227,7 @@ def sample_cohort_ratios(grade: int, rng: np.random.Generator) -> dict:
 
 
 def generate_cohort(n_per_grade=(18, 14, 25), base_seed: int = 0,
-                    dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0),
-                    modalities=DEFAULT_MODALITIES) -> Cohort:
+                    dims=(32, 32, 32)) -> Cohort:
     """Generate a graded cohort with per-subject jittered composition.
 
     ``n_per_grade`` maps onto grades (II, III, IV).  Subjects share one grid;
@@ -248,7 +245,6 @@ def generate_cohort(n_per_grade=(18, 14, 25), base_seed: int = 0,
             het = float(np.clip(HETEROGENEITY[grade] + rng.uniform(-0.03, 0.03),
                                 0.02, 0.6))
             spec = PhantomSpec(grade=grade, ratios=ratios, dims=dims,
-                               spacing=spacing, modalities=modalities,
                                heterogeneity=het,
                                seed=int(rng.integers(2 ** 31)))
             vols, lm = generate_phantom(spec)
@@ -257,8 +253,7 @@ def generate_cohort(n_per_grade=(18, 14, 25), base_seed: int = 0,
 
 
 def smooth_blob_volume(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0),
-                       seed: int = 0, n_blobs: int = 30,
-                       sigma_range=(1.5, 3.5)) -> Volume:
+                       seed: int = 0) -> Volume:
     """Structured test volume: a sum of random Gaussian bumps.
 
     Used as registration ground-truth material.  Bump widths around a couple
@@ -271,9 +266,9 @@ def smooth_blob_volume(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0),
                         indexing="ij")
     extent = np.asarray(dims) * np.asarray(spacing)
     arr = np.zeros(dims)
-    for _ in range(n_blobs):
+    for _ in range(N_BLOBS):
         pos = extent * rng.uniform(0.15, 0.85, size=3)
-        sig = rng.uniform(*sigma_range) * float(np.mean(spacing))
+        sig = rng.uniform(*BLOB_SIGMA_RANGE) * float(np.mean(spacing))
         amp = rng.uniform(40.0, 120.0)
         d2 = sum((g - p) ** 2 for g, p in zip(grids, pos))
         arr += amp * np.exp(-d2 / (2.0 * sig * sig))

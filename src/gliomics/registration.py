@@ -25,11 +25,30 @@ from .volume import Volume, resample
 
 log = logging.getLogger(__name__)
 
+# Joint-histogram bins per axis, and the least share of fixed samples that
+# must land inside the moving volume for an MI value to count.
+MI_BINS = 32
+MIN_OVERLAP_FRACTION = 0.25
+
+# The (1+1)-ES starts at INITIAL_RADIUS, multiplies the radius by GROWTH
+# after an accepted step and by SHRINK after a rejected one, and stops once
+# it falls below EPSILON.
+INITIAL_RADIUS = 1.5
+GROWTH = 1.05
+SHRINK = 0.98
+EPSILON = 1e-3
+
+# Total MI gain below this is interpolation noise, not signal: soft binning
+# can squeeze out ~1e-4 bits by drifting off a true optimum, while a 0.1
+# degree / 0.1 mm misalignment already costs several times more, so the
+# starting transform is kept when the search gains less.
+MIN_GAIN = 2e-4
+
 # The search's two levels share one set of jittered sample points: the
 # coarse level reads every COARSE_STRIDE-th of them on copies of both volumes
 # smoothed by a Gaussian of COARSE_SIGMA voxels, and hands its pose to the
 # full-resolution level once the mutation radius falls below HANDOVER times
-# EsConfig.epsilon.
+# EPSILON.
 COARSE_STRIDE = 8
 COARSE_SIGMA = 1.0
 HANDOVER = 10.0
@@ -149,42 +168,21 @@ def load_transform(path) -> RigidTransform:
 
 @dataclass(frozen=True)
 class MiConfig:
-    bins: int = 32
     sample_fraction: float = 1.0
-    min_overlap_fraction: float = 0.25
 
     def __post_init__(self):
-        if self.bins < 8:
-            raise ValueError("bins must be >= 8")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
-        if not 0.0 < self.min_overlap_fraction < 1.0:
-            raise ValueError("min_overlap_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
 class EsConfig:
-    initial_radius: float = 1.5
-    growth: float = 1.05
-    shrink: float = 0.98
     max_iters: int = 2000
-    epsilon: float = 1e-3
     seed: int = 0
-    # total MI gain below this is interpolation noise, not signal: soft
-    # binning can squeeze out ~1e-4 bits by drifting off a true optimum,
-    # while a 0.1 degree / 0.1 mm misalignment already costs several times
-    # more, so the starting transform is kept when the search gains less
-    min_gain: float = 2e-4
 
     def __post_init__(self):
-        if self.initial_radius <= 0 or self.epsilon <= 0:
-            raise ValueError("radius and epsilon must be positive")
-        if self.growth <= 1.0 or not 0.0 < self.shrink < 1.0:
-            raise ValueError("need growth > 1 and 0 < shrink < 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.min_gain < 0:
-            raise ValueError("min_gain must be >= 0")
 
 
 class _MiEvaluator:
@@ -196,15 +194,13 @@ class _MiEvaluator:
     transform.
     """
 
-    def __init__(self, fixed: Volume, moving: Volume, index: np.ndarray,
-                 bins: int):
-        self.bins = bins
+    def __init__(self, fixed: Volume, moving: Volume, index: np.ndarray):
         self.fixed_world = fixed.affine[:3, :3] @ index + fixed.affine[:3, 3:4]
         self.n_samples = index.shape[1]
         vals = map_coordinates(fixed.data, index, order=1, mode="nearest")
         f0, f1, ffrac = self._soft_bins(vals, float(vals.min()), float(vals.max()))
-        self.fixed_lo = f0 * self.bins
-        self.fixed_hi = f1 * self.bins
+        self.fixed_lo = f0 * MI_BINS
+        self.fixed_hi = f1 * MI_BINS
         self.fixed_w = ffrac
         self.moving_data = moving.data
         self.moving_min = float(moving.data.min())
@@ -221,11 +217,11 @@ class _MiEvaluator:
         if hi <= lo:
             u = np.zeros(len(vals))
         else:
-            u = (np.asarray(vals, dtype=float) - lo) * (self.bins / (hi - lo)) - 0.5
+            u = (np.asarray(vals, dtype=float) - lo) * (MI_BINS / (hi - lo)) - 0.5
         i0 = np.floor(u).astype(np.int64)
         frac = u - i0
-        return (np.clip(i0, 0, self.bins - 1),
-                np.clip(i0 + 1, 0, self.bins - 1), frac)
+        return (np.clip(i0, 0, MI_BINS - 1),
+                np.clip(i0 + 1, 0, MI_BINS - 1), frac)
 
     def evaluate(self, matrix: np.ndarray) -> tuple:
         """Returns (mi_bits, overlap_fraction) for a world->world matrix.
@@ -247,7 +243,7 @@ class _MiEvaluator:
         # smooth enough for the evolutionary search to make fine progress
         m0, m1, mfrac = self._soft_bins(sampled, self.moving_min,
                                         self.moving_max)
-        size = self.bins * self.bins
+        size = MI_BINS * MI_BINS
         fw, mw = self.fixed_w, mfrac
         joint = (np.bincount(self.fixed_lo + m0, weights=(1.0 - fw) * (1.0 - mw),
                              minlength=size)
@@ -257,7 +253,7 @@ class _MiEvaluator:
                                minlength=size)
                  + np.bincount(self.fixed_hi + m1, weights=fw * mw,
                                minlength=size))
-        joint = joint.reshape(self.bins, self.bins) / self.n_samples
+        joint = joint.reshape(MI_BINS, MI_BINS) / self.n_samples
         px = joint.sum(axis=1)
         py = joint.sum(axis=0)
         nz = joint > 0
@@ -283,12 +279,12 @@ def mutual_information(fixed: Volume, moving: Volume, t: RigidTransform,
     """MI in bits between ``fixed`` and ``moving`` pushed through ``t``,
     sampled at the fixed voxel centres.
 
-    Raises InsufficientOverlap when fewer than ``cfg.min_overlap_fraction``
+    Raises InsufficientOverlap when fewer than ``MIN_OVERLAP_FRACTION``
     of the fixed samples land inside the moving volume.
     """
-    ev = _MiEvaluator(fixed, moving, _sample_index(fixed, cfg), cfg.bins)
+    ev = _MiEvaluator(fixed, moving, _sample_index(fixed, cfg))
     mi, overlap = ev.evaluate(t.matrix())
-    if overlap < cfg.min_overlap_fraction:
+    if overlap < MIN_OVERLAP_FRACTION:
         raise InsufficientOverlap(
             f"only {overlap:.1%} of fixed voxels map into the moving volume")
     return mi
@@ -315,11 +311,11 @@ def register_rigid(fixed: Volume, moving: Volume, mi: MiConfig = MiConfig(),
     The search runs on two levels of those points: every
     ``COARSE_STRIDE``-th point of both volumes smoothed by a Gaussian of
     ``COARSE_SIGMA`` voxels until the radius falls below ``HANDOVER`` times
-    ``es.epsilon``, then every point, unsmoothed, down to ``es.epsilon``.
+    ``EPSILON``, then every point, unsmoothed, down to ``EPSILON``.
     ``es.max_iters`` bounds the candidates of both levels together.
 
     The best transform seen is returned, except that a full-resolution MI
-    gain below ``es.min_gain`` keeps the starting transform.  With
+    gain below ``MIN_GAIN`` keeps the starting transform.  With
     ``return_trace`` the full-resolution level's accepted MI values come
     back as well, starting from its MI at the hand-over pose.
     Deterministic for a given seed.
@@ -330,48 +326,48 @@ def register_rigid(fixed: Volume, moving: Volume, mi: MiConfig = MiConfig(),
     upper = np.asarray(fixed.dims, dtype=float).reshape(3, 1) - 1.0
     index = np.clip(index + rng.uniform(-0.5, 0.5, size=index.shape),
                     0.0, upper)
-    fine = _MiEvaluator(fixed, moving, index, mi.bins)
+    fine = _MiEvaluator(fixed, moving, index)
     start = initial if initial is not None else RigidTransform.identity(center)
 
     def evaluate(ev, p):
         return ev.evaluate(RigidTransform.from_params(p, center).matrix())
 
     start_mi, start_overlap = evaluate(fine, start.params())
-    if start_overlap < mi.min_overlap_fraction:
+    if start_overlap < MIN_OVERLAP_FRACTION:
         raise InsufficientOverlap(f"initial overlap {start_overlap:.1%} below "
-                                  f"{mi.min_overlap_fraction:.1%}")
-    if es.max_iters == 0 or es.initial_radius < es.epsilon:
-        raise NoImprovement("no mutation budget before radius collapse")
+                                  f"{MIN_OVERLAP_FRACTION:.1%}")
+    if es.max_iters == 0:
+        raise NoImprovement("no mutation budget")
 
     coarse = _MiEvaluator(_smoothed(fixed), _smoothed(moving),
-                          index[:, ::COARSE_STRIDE], mi.bins)
-    p, radius, budget = start.params(), es.initial_radius, es.max_iters
+                          index[:, ::COARSE_STRIDE])
+    p, radius, budget = start.params(), INITIAL_RADIUS, es.max_iters
     counts = []
-    for ev, floor in ((coarse, HANDOVER * es.epsilon), (fine, es.epsilon)):
+    for ev, floor in ((coarse, HANDOVER * EPSILON), (fine, EPSILON)):
         cur_mi, overlap = evaluate(ev, p)
         trace, evals = [cur_mi], 0
         while evals < budget and radius >= floor:
             cand = p + radius * rng.standard_normal(6)
             cand_mi, cand_overlap = evaluate(ev, cand)
             evals += 1
-            if cand_overlap >= mi.min_overlap_fraction and cand_mi > cur_mi:
+            if cand_overlap >= MIN_OVERLAP_FRACTION and cand_mi > cur_mi:
                 p, cur_mi, overlap = cand, cand_mi, cand_overlap
-                radius *= es.growth
+                radius *= GROWTH
                 trace.append(cur_mi)
             else:
-                radius *= es.shrink
+                radius *= SHRINK
         budget -= evals
         counts += [evals, len(trace) - 1]
 
     gain = cur_mi - start_mi
-    if gain < es.min_gain:
+    if gain < MIN_GAIN:
         best, overlap = start, start_overlap
     else:
         best = RigidTransform.from_params(p, center)
     log.debug("register: coarse %d evals %d accepted, fine %d evals "
               "%d accepted, final radius %.4g, MI gain %.4g bits%s, "
               "overlap %.4f", *counts, radius, gain,
-              " (below min_gain, start kept)" if best is start else "",
+              " (below MIN_GAIN, start kept)" if best is start else "",
               overlap)
     if return_trace:
         return best, trace

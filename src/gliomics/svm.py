@@ -35,6 +35,10 @@ from .errors import NoConvergence, SingleClass
 # puts it in for curvatures <= 0, this also keeps 1 / curvature finite
 SMO_TAU = 1e-12
 
+# default stopping gap and sweep limit of every SMO solve
+SMO_TOL = 1e-3
+SMO_MAX_PASSES = 10_000
+
 
 @dataclass(frozen=True)
 class Kernel:
@@ -64,8 +68,8 @@ class SmoResult:
     passes: int
 
 
-def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
-              max_passes: int = 10_000) -> SmoResult:
+def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = SMO_TOL,
+              max_passes: int = SMO_MAX_PASSES) -> SmoResult:
     """Minimize the dual on a precomputed kernel matrix.
 
     Returns the full alpha vector so callers can check the KKT conditions;
@@ -159,8 +163,8 @@ class SvmModel:
 
 
 def train_svm_binary(X: np.ndarray, y: np.ndarray, kernel: Kernel,
-                     C: float = 1.0, tol: float = 1e-3,
-                     max_passes: int = 10_000) -> SvmModel:
+                     C: float = 1.0, tol: float = SMO_TOL,
+                     max_passes: int = SMO_MAX_PASSES) -> SvmModel:
     """Fit one binary model; ``y`` must contain both -1 and +1."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -195,8 +199,8 @@ class OvaSvm:
 
 
 def train_ova(X: np.ndarray, classes: np.ndarray, kernel: Kernel,
-              C: float = 1.0, tol: float = 1e-3,
-              max_passes: int = 10_000) -> OvaSvm:
+              C: float = 1.0, tol: float = SMO_TOL,
+              max_passes: int = SMO_MAX_PASSES) -> OvaSvm:
     """One binary model per distinct class value (class vs rest)."""
     X = np.asarray(X, dtype=np.float64)
     classes = np.asarray(classes)

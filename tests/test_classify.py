@@ -25,6 +25,11 @@ class TestTrainConfig:
         {"svm_c_grid": ()},
         {"svm_c_grid": (1.0, -2.0)},
         {"rbf_gamma_grid": (0.0,)},
+        {"max_iters": 2.5},
+        {"validation_patience": True},
+        {"cg_restart_interval": 0},
+        {"smo_tolerance": float("nan")},
+        {"svm_c_grid": ("1",)},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):

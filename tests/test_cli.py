@@ -26,6 +26,7 @@ import pytest
 import gliomics
 from gliomics import cli, features
 from gliomics.cli import build_parser, main
+from gliomics.experiments import write_feature_table
 from gliomics.nifti import VOX_OFFSET, read_nifti
 from gliomics.registration import EsConfig, MiConfig
 
@@ -362,6 +363,53 @@ class TestTrainEvalCommand:
         cfg.write_text("{not json")
         assert main(["train-eval", str(feature_dir / "features_v1.csv"),
                      "--out", str(tmp_path), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("config", [
+        [1],
+        {"n_runs": "abc"},
+        {"train": [1]},
+        {"train": {"svm_c_grid": 5}},
+        {"train": {"seed": 7}},
+        {"seed": 7},
+    ], ids=["list", "runs-text", "train-list", "grid-number", "train-seed",
+            "top-level-seed"])
+    def test_malformed_config_exits_2_before_reading_tables(
+            self, feature_dir, tmp_path, monkeypatch, config):
+        def unread(path):
+            pytest.fail(f"read {path} before the config was checked")
+
+        monkeypatch.setattr(cli, "read_feature_table", unread)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "reports"
+        assert main(["train-eval", str(feature_dir / "features_v1.csv"),
+                     "--out", str(out), "--config", str(cfg)]) == 2
+        assert not out.exists()
+
+    def test_provenance_digests_effective_config(self, tmp_path):
+        # five subjects per grade leave every SVM two training rows per
+        # class, so the default grid runs
+        rng = np.random.default_rng(8)
+        rows = [(f"s{g}{i}", "t2", g, rng.normal(3.0 * g, 1.0, size=14))
+                for g in (2, 3, 4) for i in range(5)]
+        table = write_feature_table(tmp_path / "features_v1.csv", rows, "v1",
+                                    {"tool_version": "0", "seed": 0,
+                                     "config_digest": "0" * 16})
+        outputs = []
+        for i, config in enumerate([None, {"n_runs": 2},
+                                    {"n_runs": 2,
+                                     "train": {"max_iters": 200}}]):
+            argv = ["train-eval", str(table), "--out", str(tmp_path / f"o{i}")]
+            if config is None:
+                argv += ["--runs", "2"]
+            else:
+                (tmp_path / f"c{i}.json").write_text(json.dumps(config))
+                argv += ["--config", str(tmp_path / f"c{i}.json")]
+            assert main(argv) == 0
+            outputs.append({p.name: p.read_bytes()
+                            for p in (tmp_path / f"o{i}").iterdir()})
+        assert len(outputs[0]) == 1 + 12       # summary, 3 x 4 reports
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestSubtractCommand:

@@ -4,8 +4,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gliomics.errors import ClassTooSmall, LengthMismatch, SingleClass
-from gliomics.evaluate import (SplitSpec, classification_report, roc_auc,
-                               stratified_split)
+from gliomics.evaluate import classification_report, roc_auc, stratified_split
 
 
 def mann_whitney_auc(scores, labels):
@@ -30,18 +29,6 @@ score_label_lists = st.lists(
 ).filter(lambda ps: {lab for _, lab in ps} == {0, 1})
 
 
-class TestSplitSpec:
-    def test_default_fractions(self):
-        assert SplitSpec().fractions == (0.8, 0.1, 0.1)
-
-    @pytest.mark.parametrize("fracs", [
-        (0.8, 0.2), (0.5, 0.5, 0.5), (0.8, 0.1, -0.1), (1.0, 0.0, 0.0),
-    ])
-    def test_bad_fractions_rejected(self, fracs):
-        with pytest.raises(ValueError):
-            SplitSpec(fractions=fracs)
-
-
 class TestStratifiedSplit:
     def test_ten_per_class_gives_8_1_1(self):
         grades = np.repeat([2, 3, 4], 10)
@@ -61,22 +48,22 @@ class TestStratifiedSplit:
 
     def test_deterministic(self):
         grades = np.repeat([2, 3, 4], 12)
-        a = stratified_split(grades, SplitSpec(seed=9))
-        b = stratified_split(grades, SplitSpec(seed=9))
+        a = stratified_split(grades, seed=9)
+        b = stratified_split(grades, seed=9)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_seed_changes_assignment(self):
         grades = np.repeat([2, 3, 4], 30)
-        a = stratified_split(grades, SplitSpec(seed=0))
-        b = stratified_split(grades, SplitSpec(seed=1))
+        a = stratified_split(grades, seed=0)
+        b = stratified_split(grades, seed=1)
         assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
     @given(st.lists(st.integers(3, 8), min_size=1, max_size=4),
            st.integers(0, 1000))
     def test_parts_partition_the_indices(self, sizes, seed):
         grades = np.concatenate([np.full(n, i) for i, n in enumerate(sizes)])
-        tr, va, te = stratified_split(grades, SplitSpec(seed=seed))
+        tr, va, te = stratified_split(grades, seed=seed)
         merged = np.sort(np.concatenate([tr, va, te]))
         # equality with arange also rules out duplicates across parts
         assert np.array_equal(merged, np.arange(len(grades)))

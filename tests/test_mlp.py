@@ -56,17 +56,6 @@ class TestLoss:
         assert cross_entropy(m.forward(X), onehot) == \
             pytest.approx(np.log(3.0), abs=1e-12)
 
-    def test_sum_reduction_is_additive_over_samples(self, rng):
-        theta = init_params(3, 2, seed=4)
-        X = rng.normal(size=(5, 3))
-        Y = np.eye(2)[rng.integers(2, size=5)]
-        ls, gs = loss_and_grad(theta, X, Y, 3, HIDDEN_UNITS, 2,
-                               reduction="sum")
-        ld, gd = loss_and_grad(theta, np.vstack([X, X]), np.vstack([Y, Y]),
-                               3, HIDDEN_UNITS, 2, reduction="sum")
-        assert ld == pytest.approx(2.0 * ls, rel=1e-12)
-        assert np.allclose(gd, 2.0 * gs, rtol=1e-12)
-
     def test_mean_reduction_ignores_duplication(self, rng):
         theta = init_params(3, 2, seed=4)
         X = rng.normal(size=(5, 3))
@@ -76,12 +65,6 @@ class TestLoss:
                                3, HIDDEN_UNITS, 2)
         assert ld == pytest.approx(lm, rel=1e-12)
         assert np.allclose(gd, gm, rtol=1e-9)
-
-    def test_unknown_reduction_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]),
-                          reduction="median")
-
 
 class TestGradient:
     def test_backprop_matches_central_differences(self, rng):
