@@ -1,4 +1,4 @@
-"""The one place gliomics writes files, and the one CSV reader.
+"""The one place gliomics reads and writes files.
 
 A write goes to a unique temp file beside its target, then is renamed over
 it, so readers never see half a file and concurrent writers never share a
@@ -15,6 +15,7 @@ optional leading ``#`` provenance line, which ``read_csv`` skips.
 from __future__ import annotations
 
 import csv
+import gzip
 import io
 import itertools
 import json
@@ -22,11 +23,30 @@ import os
 import zlib
 from pathlib import Path
 
+from .errors import IoFailure, MissingFile
+
 _temp_ids = itertools.count()
 
 # level 1, deflate, a gzip wrapper (wbits 16 + 15) whose header has no name
 # and MTIME 0, memLevel 8, run-length matching only
 _GZIP_ARGS = (1, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
+_GZIP_MAGIC = b"\x1f\x8b"
+
+
+def read_bytes(path) -> bytes:
+    """The bytes of ``path``, gunzipped when they start with the gzip magic.
+
+    One ``gzip.decompress`` call checks the CRC-32 and length trailer, so a
+    corrupt or truncated stream raises IoFailure, as does any read failure
+    but a missing file, which raises MissingFile.
+    """
+    try:
+        data = Path(path).read_bytes()
+        return gzip.decompress(data) if data[:2] == _GZIP_MAGIC else data
+    except FileNotFoundError as exc:
+        raise MissingFile(f"no such file: {path}") from exc
+    except (OSError, EOFError, zlib.error) as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
 
 
 def write_bytes(path, data: bytes) -> Path:

@@ -9,14 +9,13 @@ little-endian.
 
 from __future__ import annotations
 
-import gzip
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_bytes
-from .errors import BadMagic, IoFailure, MissingFile, UnsupportedDatatype
+from .artifacts import read_bytes, write_bytes
+from .errors import BadMagic, IoFailure, UnsupportedDatatype
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352  # header + 4 empty extension bytes
@@ -111,15 +110,6 @@ def _header_dtype(byteorder: str) -> np.dtype:
     return np.dtype(fields)
 
 
-def _open_for_read(path: Path):
-    raw = open(path, "rb")
-    head = raw.read(2)
-    raw.seek(0)
-    if head == b"\x1f\x8b":
-        return gzip.open(raw)
-    return raw
-
-
 def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
     a = np.sqrt(max(0.0, 1.0 - (b * b + c * c + d * d)))
     return np.array([
@@ -156,66 +146,55 @@ def read_nifti(path) -> ParsedNifti:
     order, unless the header's scl_slope/scl_inter apply, which gives
     float64.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"no such file: {path}")
-    try:
-        with _open_for_read(path) as fh:
-            blob = fh.read(HEADER_SIZE)
-            if len(blob) < HEADER_SIZE:
-                raise BadMagic(f"{path}: truncated header ({len(blob)} bytes)")
-            order = "<"
-            hdr = np.frombuffer(blob, dtype=_header_dtype(order), count=1)[0]
-            if int(hdr["sizeof_hdr"]) != HEADER_SIZE:
-                order = ">"
-                hdr = np.frombuffer(blob, dtype=_header_dtype(order), count=1)[0]
-                if int(hdr["sizeof_hdr"]) != HEADER_SIZE:
-                    raise BadMagic(f"{path}: sizeof_hdr is not 348, not NIfTI-1")
-            magic = bytes(hdr["magic"]).rstrip(b"\x00")
-            if magic not in _GOOD_MAGIC:
-                raise BadMagic(f"{path}: magic {magic!r} is not 'n+1'/'ni1'")
+    blob = read_bytes(path)
+    if len(blob) < HEADER_SIZE:
+        raise BadMagic(f"{path}: truncated header ({len(blob)} bytes)")
+    order = "<"
+    hdr = np.frombuffer(blob, dtype=_header_dtype(order), count=1)[0]
+    if int(hdr["sizeof_hdr"]) != HEADER_SIZE:
+        order = ">"
+        hdr = np.frombuffer(blob, dtype=_header_dtype(order), count=1)[0]
+        if int(hdr["sizeof_hdr"]) != HEADER_SIZE:
+            raise BadMagic(f"{path}: sizeof_hdr is not 348, not NIfTI-1")
+    magic = bytes(hdr["magic"]).rstrip(b"\x00")
+    if magic not in _GOOD_MAGIC:
+        raise BadMagic(f"{path}: magic {magic!r} is not 'n+1'/'ni1'")
 
-            code = int(hdr["datatype"])
-            if code not in _DTYPE_FOR_CODE:
-                raise UnsupportedDatatype(f"{path}: datatype code {code}")
-            ndim = int(hdr["dim"][0])
-            if not 1 <= ndim <= 7:
-                raise BadMagic(f"{path}: dim[0]={ndim} out of range")
-            shape = [max(1, int(n)) for n in hdr["dim"][1:1 + ndim]]
-            if any(n != 1 for n in shape[3:]):
-                raise UnsupportedDatatype(
-                    f"{path}: {ndim}D image with shape {shape}; only 3D supported")
-            shape = (shape + [1, 1])[:3]
+    code = int(hdr["datatype"])
+    if code not in _DTYPE_FOR_CODE:
+        raise UnsupportedDatatype(f"{path}: datatype code {code}")
+    ndim = int(hdr["dim"][0])
+    if not 1 <= ndim <= 7:
+        raise BadMagic(f"{path}: dim[0]={ndim} out of range")
+    shape = [max(1, int(n)) for n in hdr["dim"][1:1 + ndim]]
+    if any(n != 1 for n in shape[3:]):
+        raise UnsupportedDatatype(
+            f"{path}: {ndim}D image with shape {shape}; only 3D supported")
+    shape = (shape + [1, 1])[:3]
 
-            dt = np.dtype(_DTYPE_FOR_CODE[code]).newbyteorder(order)
-            n_vox = int(np.prod(shape))
-            offset = max(int(hdr["vox_offset"]), HEADER_SIZE)
-            fh.seek(offset)
-            payload = fh.read(n_vox * dt.itemsize)
-            if len(payload) < n_vox * dt.itemsize:
-                raise IoFailure(f"{path}: truncated voxel payload")
-            data = np.frombuffer(payload, dtype=dt, count=n_vox)
-            data = data.reshape(shape, order="F").astype(dt.newbyteorder("="))
+    dt = np.dtype(_DTYPE_FOR_CODE[code]).newbyteorder(order)
+    n_vox = int(np.prod(shape))
+    offset = max(int(hdr["vox_offset"]), HEADER_SIZE)
+    if len(blob) < offset + n_vox * dt.itemsize:
+        raise IoFailure(f"{path}: truncated voxel payload")
+    data = np.frombuffer(blob, dtype=dt, count=n_vox, offset=offset)
+    data = data.reshape(shape, order="F").astype(dt.newbyteorder("="))
 
-            slope = float(hdr["scl_slope"])
-            inter = float(hdr["scl_inter"])
-            if not np.isfinite(slope):
-                slope = 0.0
-            if not np.isfinite(inter):
-                inter = 0.0
-            scaled = slope != 0.0 and (slope != 1.0 or inter != 0.0)
-            if scaled:
-                data = data.astype(np.float64) * slope + inter
+    slope = float(hdr["scl_slope"])
+    inter = float(hdr["scl_inter"])
+    if not np.isfinite(slope):
+        slope = 0.0
+    if not np.isfinite(inter):
+        inter = 0.0
+    scaled = slope != 0.0 and (slope != 1.0 or inter != 0.0)
+    if scaled:
+        data = data.astype(np.float64) * slope + inter
 
-            spacing = np.abs(np.asarray(hdr["pixdim"][1:4], dtype=float))
-            spacing[spacing == 0] = 1.0
-            affine = _affine_from_header(hdr, spacing)
-            return ParsedNifti(data=data, spacing=tuple(spacing), affine=affine,
-                               datatype_code=code, scaled=scaled)
-    except OSError as exc:
-        if isinstance(exc, IoFailure):
-            raise
-        raise IoFailure(f"{path}: {exc}") from exc
+    spacing = np.abs(np.asarray(hdr["pixdim"][1:4], dtype=float))
+    spacing[spacing == 0] = 1.0
+    affine = _affine_from_header(hdr, spacing)
+    return ParsedNifti(data=data, spacing=tuple(spacing), affine=affine,
+                       datatype_code=code, scaled=scaled)
 
 
 def is_integer_code(code: int) -> bool:

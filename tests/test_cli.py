@@ -9,6 +9,7 @@ dominates the runtime.
 """
 
 import dataclasses
+import gzip
 import hashlib
 import json
 import multiprocessing
@@ -132,7 +133,8 @@ class TestFeaturesCommand:
                      "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("corrupt", ["truncated_header", "label_7"])
+    @pytest.mark.parametrize("corrupt", ["truncated_header", "label_7",
+                                         "half_gz"])
     def test_corrupt_subject_aborts_unless_skipped(self, cohort_dir,
                                                    feature_dir, tmp_path,
                                                    corrupt, jobs):
@@ -198,7 +200,18 @@ def _label_7(cohort):
     return "g2_000"
 
 
-CORRUPTIONS = {"truncated_header": _truncate_header, "label_7": _label_7}
+def _half_gz(cohort):
+    nii = cohort / "g3_002_t2.nii"
+    packed = gzip.compress(nii.read_bytes())
+    (cohort / "g3_002_t2.nii.gz").write_bytes(packed[:len(packed) // 2])
+    manifest = cohort / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace("g3_002_t2.nii",
+                                                     "g3_002_t2.nii.gz"))
+    return "g3_002"                                 # IoFailure (EOF)
+
+
+CORRUPTIONS = {"truncated_header": _truncate_header, "label_7": _label_7,
+               "half_gz": _half_gz}
 
 
 class TestFeaturesStage:

@@ -2,9 +2,11 @@ import gzip
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gliomics import nifti
-from gliomics.errors import (BadMagic, IoFailure, MissingFile,
+from gliomics.errors import (BadMagic, GliomicsError, IoFailure, MissingFile,
                              UnsupportedDatatype)
 
 
@@ -180,3 +182,47 @@ def test_dtype_round_trips(tmp_path, dtype):
     assert np.array_equal(out.data, data.astype(np.float64))
     assert nifti.is_integer_code(out.datatype_code) == \
         np.issubdtype(dtype, np.integer)
+
+
+@pytest.fixture(scope="module")
+def packed(tmp_path_factory):
+    """The bytes of a small .nii.gz from write_nifti, its decoded form, and
+    a path for mutated copies."""
+    d = tmp_path_factory.mktemp("packed")
+    data = np.random.default_rng(5).normal(size=(3, 4, 2)).astype(np.float32)
+    nifti.write_nifti(d / "v.nii.gz", data, (1.0, 2.0, 3.0),
+                      np.diag([1.0, 2.0, 3.0, 1.0]), np.float32)
+    return ((d / "v.nii.gz").read_bytes(), nifti.read_nifti(d / "v.nii.gz"),
+            d / "mutant.nii.gz")
+
+
+def _same_volume(a, b) -> bool:
+    return (a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data)
+            and a.spacing == b.spacing and np.array_equal(a.affine, b.affine))
+
+
+class TestFaultInjection:
+    """A damaged .nii.gz raises a GliomicsError (exit 2); it never decodes
+    to another volume and never ends in a numpy or zlib traceback."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_flip_raises_or_decodes_identically(self, packed, data):
+        blob, good, mutant = packed
+        flipped = bytearray(blob)
+        flipped[data.draw(st.integers(0, len(blob) - 1))] ^= \
+            data.draw(st.integers(1, 255))
+        mutant.write_bytes(bytes(flipped))
+        try:
+            out = nifti.read_nifti(mutant)
+        except GliomicsError:
+            return
+        assert _same_volume(out, good)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncation_raises(self, packed, data):
+        blob, _, mutant = packed
+        mutant.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(GliomicsError):
+            nifti.read_nifti(mutant)
