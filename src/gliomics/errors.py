@@ -12,7 +12,8 @@ class MissingFile(GliomicsError, FileNotFoundError):
 
 
 class BadMagic(GliomicsError):
-    """File is not a NIfTI-1 image (bad magic string or header size)."""
+    """File is not a NIfTI-1 image gliomics can read: bad magic string,
+    header size or header field."""
 
 
 class UnsupportedDatatype(GliomicsError):

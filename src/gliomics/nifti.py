@@ -88,6 +88,11 @@ _INTEGER_CODES = frozenset(c for c, t in _DTYPE_FOR_CODE.items()
 
 _GOOD_MAGIC = (b"n+1", b"ni1")
 
+# the float fields that place the voxel grid in the world
+_GEOMETRY_FIELDS = ("pixdim", "quatern_b", "quatern_c", "quatern_d",
+                    "qoffset_x", "qoffset_y", "qoffset_z",
+                    "srow_x", "srow_y", "srow_z")
+
 
 @dataclass
 class ParsedNifti:
@@ -166,11 +171,17 @@ def read_nifti(path) -> ParsedNifti:
     ndim = int(hdr["dim"][0])
     if not 1 <= ndim <= 7:
         raise BadMagic(f"{path}: dim[0]={ndim} out of range")
-    shape = [max(1, int(n)) for n in hdr["dim"][1:1 + ndim]]
+    shape = [int(n) for n in hdr["dim"][1:1 + ndim]]
+    if min(shape) < 1:
+        raise BadMagic(f"{path}: image shape {shape} has a size below 1")
     if any(n != 1 for n in shape[3:]):
         raise UnsupportedDatatype(
             f"{path}: {ndim}D image with shape {shape}; only 3D supported")
     shape = (shape + [1, 1])[:3]
+    geometry = np.concatenate([np.ravel(hdr[f]) for f in _GEOMETRY_FIELDS])
+    if not np.isfinite(geometry).all() or not np.isfinite(hdr["vox_offset"]):
+        raise BadMagic(f"{path}: non-finite vox_offset, pixdim, quatern, "
+                       f"qoffset or srow")
 
     dt = np.dtype(_DTYPE_FOR_CODE[code]).newbyteorder(order)
     n_vox = int(np.prod(shape))
@@ -193,12 +204,19 @@ def read_nifti(path) -> ParsedNifti:
     spacing = np.abs(np.asarray(hdr["pixdim"][1:4], dtype=float))
     spacing[spacing == 0] = 1.0
     affine = _affine_from_header(hdr, spacing)
+    if is_singular(affine):
+        raise BadMagic(f"{path}: the affine's 3x3 block is singular")
     return ParsedNifti(data=data, spacing=tuple(spacing), affine=affine,
                        datatype_code=code, scaled=scaled)
 
 
 def is_integer_code(code: int) -> bool:
     return code in _INTEGER_CODES
+
+
+def is_singular(affine) -> bool:
+    """True when the affine's 3x3 block maps no voxel grid onto 3D space."""
+    return abs(np.linalg.det(np.asarray(affine, dtype=float)[:3, :3])) < 1e-12
 
 
 def write_nifti(path, data: np.ndarray, spacing, affine, dtype) -> None:

@@ -32,7 +32,7 @@ def _check_geometry(dims, spacing, affine):
     affine = np.asarray(affine, dtype=float)
     if affine.shape != (4, 4):
         raise ValueError(f"affine must be 4x4, got {affine.shape}")
-    if abs(np.linalg.det(affine[:3, :3])) < 1e-12:
+    if nifti.is_singular(affine):
         raise ValueError("affine upper-left 3x3 block is singular")
     return affine
 

@@ -6,19 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gliomics import nifti
+from gliomics.artifacts import read_bytes, write_bytes
 from gliomics.errors import (BadMagic, GliomicsError, IoFailure, MissingFile,
                              UnsupportedDatatype)
+from gliomics.volume import Volume
 
 
 def _patch_header(path, **fields):
-    """Rewrite named header fields of an uncompressed .nii in place."""
-    blob = bytearray(path.read_bytes())
+    """Rewrite named header fields of a .nii or .nii.gz in place."""
+    blob = bytearray(read_bytes(path))
     hdr = np.frombuffer(bytes(blob[:nifti.HEADER_SIZE]),
                         dtype=nifti._header_dtype("<")).copy()
     for name, value in fields.items():
         hdr[name] = value
     blob[:nifti.HEADER_SIZE] = hdr.tobytes()
-    path.write_bytes(bytes(blob))
+    write_bytes(path, bytes(blob))
+
+
+def _header_faults() -> list:
+    """(field, element, value) for every element of every numeric header
+    field: -1 and 0, and NaN and +-inf as well where the field is a float.
+    Integer values wrap to the field's type, as a corrupt byte would."""
+    faults = []
+    for name, (dt, _) in nifti._header_dtype("<").fields.items():
+        if dt.base.kind not in "iuf":
+            continue
+        values = (-1, 0, np.nan, np.inf, -np.inf) if dt.base.kind == "f" \
+            else (-1, 0)
+        faults += [(name, i, v) for i in range(int(np.prod(dt.shape)))
+                   for v in values]
+    return faults
 
 
 def test_round_trip_identity(tmp_path):
@@ -226,3 +243,23 @@ class TestFaultInjection:
         mutant.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
         with pytest.raises(GliomicsError):
             nifti.read_nifti(mutant)
+
+    @given(st.sampled_from(_header_faults()))
+    @settings(max_examples=500, deadline=None)
+    def test_bad_header_field_raises_or_keeps_geometry_usable(self, packed,
+                                                             fault):
+        blob, _, mutant = packed
+        name, i, value = fault
+        mutant.write_bytes(blob)
+        hdr = np.frombuffer(gzip.decompress(blob)[:nifti.HEADER_SIZE],
+                            dtype=nifti._header_dtype("<"))[0]
+        field = np.array(hdr[name])
+        field.reshape(-1)[i] = np.asarray(value).astype(field.dtype)
+        _patch_header(mutant, **{name: field})
+        try:
+            out = nifti.read_nifti(mutant)
+        except GliomicsError:
+            return
+        assert np.isfinite(out.spacing).all()
+        assert np.isfinite(out.affine).all()
+        Volume(out.data, out.spacing, out.affine)   # a non-singular grid
