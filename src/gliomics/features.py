@@ -102,6 +102,10 @@ def region_histogram(v: Volume, mask: np.ndarray) -> np.ndarray:
     if not np.isfinite(hi - lo):
         # span overflows the float range; halving is exact and keeps ratios
         vals, lo, hi = vals * 0.5, lo * 0.5, hi * 0.5
+    elif not np.isfinite(HIST_BINS / (hi - lo)):
+        # a span this small (subnormal, or nearly) puts every value below
+        # 2**-966 in magnitude, so scaling by 2**600 is exact and keeps ratios
+        vals, lo, hi = vals * 2.0 ** 600, lo * 2.0 ** 600, hi * 2.0 ** 600
     idx = ((vals - lo) * (HIST_BINS / (hi - lo))).astype(np.int64)
     counts = np.bincount(np.clip(idx, 0, HIST_BINS - 1),
                          minlength=HIST_BINS)
@@ -116,7 +120,8 @@ def shannon_entropy(p) -> float:
     nz = p[p > 0]
     if nz.size == 0:
         return 0.0
-    return float(-np.sum(nz * np.log2(nz)))
+    # 0.0 - x, not -x: one full bin gives +0.0, which a CSV prints as 0
+    return float(0.0 - np.sum(nz * np.log2(nz)))
 
 
 def intensity_block(v: Volume, mask: np.ndarray) -> IntensityBlock:

@@ -36,7 +36,8 @@ class TestEntropy:
                                                             abs=1e-9)
 
     def test_delta_is_zero(self):
-        assert shannon_entropy([1.0] + [0.0] * 9) == 0.0
+        h = shannon_entropy([1.0] + [0.0] * 9)
+        assert h == 0.0 and not np.signbit(h)   # a CSV prints -0.0 as -0
 
     def test_two_even_bins_is_one_bit(self):
         assert shannon_entropy([0.5, 0.5] + [0.0] * 8) == pytest.approx(1.0)
@@ -88,9 +89,23 @@ class TestRegionHistogram:
         with pytest.raises(GeometryMismatch):
             region_histogram(identity_volume, np.ones((2, 2, 2), dtype=bool))
 
+    @pytest.mark.parametrize("values", [[0.0, 5e-324, 5e-324, 5e-324],
+                                        [1e-310, 2e-310, 3e-310]])
+    def test_tiny_span_is_binned_like_a_scaled_one(self, values):
+        # scaling by a power of two is exact, so the bins must not change
+        hist = region_histogram(*masked_volume(values))
+        scaled = np.asarray(values) * 2.0 ** 600
+        assert np.array_equal(hist, region_histogram(*masked_volume(scaled)))
+
+    def test_subnormal_maximum_lands_in_last_bin(self):
+        hist = region_histogram(*masked_volume([0.0, 5e-324, 5e-324, 5e-324]))
+        assert np.array_equal(hist, [0.25] + [0.0] * 8 + [0.75])
+
     @given(st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=40),
            st.integers(0, 2 ** 31 - 1))
+    @example([0.0, 5e-324], 0)
     @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sums_to_one_when_nonempty(self, values, _seed):
         v, mask = masked_volume(values)
         assert region_histogram(v, mask).sum() == pytest.approx(1.0, abs=1e-9)
