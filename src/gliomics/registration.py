@@ -12,14 +12,12 @@ al., IEEE TMI 2003).
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
-from .artifacts import write_json
 from .errors import InsufficientOverlap, NoImprovement
 from .volume import Volume, resample
 
@@ -155,15 +153,6 @@ class RigidTransform:
     def from_json(cls, obj: dict) -> "RigidTransform":
         return cls(tuple(obj["rotation_rad"]), tuple(obj["translation_mm"]),
                    tuple(obj["center_mm"]))
-
-
-def save_transform(t: RigidTransform, path) -> None:
-    write_json(path, t.to_json())
-
-
-def load_transform(path) -> RigidTransform:
-    with open(path) as fh:
-        return RigidTransform.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,7 @@ from gliomics import registration
 from gliomics.errors import InsufficientOverlap, NoImprovement
 from gliomics.phantom import generate_cohort, smooth_blob_volume
 from gliomics.registration import (EsConfig, MiConfig, RigidTransform,
-                                   load_transform, mutual_information,
-                                   register_rigid, save_transform,
+                                   mutual_information, register_rigid,
                                    subtraction_map)
 from gliomics.volume import Volume, resample
 
@@ -70,11 +69,6 @@ class TestTransformAlgebra:
         t = RigidTransform((0.1, -0.2, 0.05), (3.0, 2.0, -1.0), (16.0, 16.0, 16.0))
         back = RigidTransform.from_json(t.to_json())
         assert back == t
-
-    def test_file_round_trip(self, tmp_path):
-        t = RigidTransform((0.01, 0.02, 0.03), (1.5, 2.5, 3.5))
-        save_transform(t, tmp_path / "t.json")
-        assert load_transform(tmp_path / "t.json") == t
 
 
 class TestMutualInformation:
