@@ -38,7 +38,7 @@ from .features import KIND_LENGTHS, build_kind, shape_block
 from .phantom import generate_cohort, read_manifest, write_cohort
 from .registration import EsConfig, MiConfig, register_rigid, subtraction_map
 from .stats import dunn_posthoc, kruskal_wallis
-from .volume import load_labelmap, load_volume, save_volume
+from .volume import TUMOR_LABELS, load_labelmap, load_volume, save_volume
 from .volumetrics import component_volumes, volume_ratios
 
 log = logging.getLogger("gliomics")
@@ -193,8 +193,8 @@ def cmd_volumetrics(args) -> int:
               "include_edema": not args.exclude_edema}
     prov = _provenance(args.seed, config)
     table = [["subject_id", "grade",
-              *[f"vol_mm3_label{k}" for k in range(1, 6)], "total_mm3",
-              *[f"ratio_pct_label{k}" for k in range(1, 6)]]]
+              *[f"vol_mm3_label{k}" for k in TUMOR_LABELS], "total_mm3",
+              *[f"ratio_pct_label{k}" for k in TUMOR_LABELS]]]
     for row in sorted(rows, key=lambda r: r["subject_id"]):
         lm = load_labelmap(row["labelmap"])
         cv = component_volumes(lm, include_edema=not args.exclude_edema)
@@ -202,9 +202,9 @@ def cmd_volumetrics(args) -> int:
         if vr.degenerate:
             log.warning("subject %s has zero tumor volume", row["subject_id"])
         table.append([row["subject_id"], row["grade"],
-                      *[f"{cv.volumes_mm3[k]:.6g}" for k in range(1, 6)],
+                      *[f"{cv.volumes_mm3[k]:.6g}" for k in TUMOR_LABELS],
                       f"{cv.total_mm3:.6g}",
-                      *[f"{vr.ratios_pct[k]:.6g}" for k in range(1, 6)]])
+                      *[f"{vr.ratios_pct[k]:.6g}" for k in TUMOR_LABELS]])
     write_csv(args.out, table, prov)
     return 0
 

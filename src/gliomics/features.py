@@ -22,9 +22,8 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import GeometryMismatch, LengthMismatch, NegativeProbability
-from .volume import LabelMap, Volume
+from .volume import TUMOR_LABELS, LabelMap, Volume
 
-TUMOR_LABELS = (1, 2, 3, 4, 5)
 HIST_BINS = 10
 
 KIND_LENGTHS = {"v1": 14, "v2": 70, "v3": 28, "shape": 20}

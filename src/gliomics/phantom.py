@@ -21,7 +21,8 @@ from scipy.ndimage import gaussian_filter
 
 from .artifacts import read_csv, write_csv
 from .errors import InfeasibleRatios
-from .volume import LabelMap, Volume, save_labelmap, save_volume
+from .volume import (TUMOR_LABELS, LabelMap, Volume, save_labelmap,
+                     save_volume)
 
 # Grade-wise per-label ratio medians (percent of total tumor volume) used as
 # single-phantom targets.  The unallocated remainder of the tumor is assigned
@@ -181,7 +182,7 @@ def _synth_modality(labels: np.ndarray, table: dict, weight: float,
                     rng: np.random.Generator) -> np.ndarray:
     mean0, sd0 = table[0]
     arr = rng.normal(mean0, sd0, size=labels.shape)
-    for lab in range(1, 6):
+    for lab in TUMOR_LABELS:
         mask = labels == lab
         n = int(mask.sum())
         if n == 0:
@@ -216,7 +217,7 @@ def generate_phantom(spec: PhantomSpec):
 def sample_cohort_ratios(grade: int, rng: np.random.Generator) -> dict:
     """Draw one subject's per-label ratios (percent, summing to 100)."""
     raw = {}
-    for lab in range(1, 6):
+    for lab in TUMOR_LABELS:
         p_zero, lo, hi = COHORT_RATIO_MODEL[grade][lab]
         if rng.random() < p_zero:
             raw[lab] = 0.0

@@ -15,9 +15,6 @@ from scipy.ndimage import map_coordinates
 from . import nifti
 from .errors import GeometryMismatch, LabelOutOfRange, ModeMismatch, UnsupportedDatatype
 
-MAX_LABEL = 5
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True)
     arr.flags.writeable = False
@@ -98,6 +95,10 @@ class Volume:
         return Volume(data, self.spacing, self.affine)
 
 
+# the labels a LabelMap may hold besides background 0
+TUMOR_LABELS = (1, 2, 3, 4, 5)
+
+
 @dataclass(frozen=True)
 class LabelMap:
     """Integer segmentation over {0..5}: 1 edema, 2 enhancing, 3 non-enhancing
@@ -116,7 +117,7 @@ class LabelMap:
             if nonint.any():
                 idx = np.argwhere(nonint)[0]
                 raise LabelOutOfRange(float(raw[tuple(idx)]), idx)
-        bad = (raw < 0) | (raw > MAX_LABEL)
+        bad = (raw < 0) | (raw > max(TUMOR_LABELS))
         if bad.any():
             idx = np.argwhere(bad)[0]
             raise LabelOutOfRange(raw[tuple(idx)].item(), idx)

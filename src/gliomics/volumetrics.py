@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import TUMOR_LABELS
-from .volume import LabelMap
+from .volume import TUMOR_LABELS, LabelMap
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,7 @@ class VolumeRatios:
 def component_volumes(lm: LabelMap, include_edema: bool = True) -> ComponentVolumes:
     """Voxel count per label times the voxel volume, plus their sum."""
     vv = lm.geometry.voxel_volume_mm3()
-    counts = np.bincount(lm.data.ravel(), minlength=6)
+    counts = np.bincount(lm.data.ravel(), minlength=max(TUMOR_LABELS) + 1)
     vols = {lab: float(counts[lab] * vv) for lab in TUMOR_LABELS}
     labels = TUMOR_LABELS if include_edema else TUMOR_LABELS[1:]
     total = float(sum(vols[lab] for lab in labels))
