@@ -23,7 +23,7 @@ import os
 import zlib
 from pathlib import Path
 
-from .errors import IoFailure, MissingFile
+from .errors import GliomicsError, IoFailure, MissingFile
 
 _temp_ids = itertools.count()
 
@@ -86,7 +86,34 @@ def write_csv(path, rows, provenance: dict = None) -> Path:
     return write_bytes(path, buf.getvalue().encode())
 
 
-def read_csv(path) -> list:
-    """Rows as dicts keyed by the header, ``#`` comment lines skipped."""
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+def read_csv(path, columns: dict = None, rest=str) -> list:
+    """Rows as dicts keyed by the header, ``#`` comment lines skipped.
+
+    ``columns`` maps each column the table must have to the type its cells
+    are read as (``str``, ``int`` or ``float``); other columns are read as
+    ``rest``.  Bytes that are not UTF-8 CSV text, a missing column and a
+    cell that does not convert raise GliomicsError naming the file, and the
+    row, counted from 1 after the header.
+    """
+    columns = columns or {}
+    try:
+        lines = io.StringIO(read_bytes(path).decode(), newline="")
+        reader = csv.DictReader(ln for ln in lines if not ln.startswith("#"))
+        records = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise GliomicsError(f"{path}: not a CSV text file: {exc}") from exc
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise GliomicsError(f"{path}: no {', '.join(missing)} column")
+    rows = []
+    for n, record in enumerate(records, 1):
+        row = {}
+        for name, cell in record.items():
+            kind = columns.get(name, rest)
+            try:
+                row[name] = kind(cell)
+            except (TypeError, ValueError) as exc:
+                raise GliomicsError(f"{path}: row {n}, column {name}: cannot "
+                                    f"read {cell!r} as {kind.__name__}") from exc
+        rows.append(row)
+    return rows

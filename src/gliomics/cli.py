@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import read_csv, write_csv, write_json
+from .artifacts import read_bytes, read_csv, write_csv, write_json
 from .classify import TrainConfig
 from .errors import (ClassTooSmall, GliomicsError, InsufficientOverlap,
                      NoConvergence, NoImprovement, SingleClass)
@@ -64,15 +64,12 @@ def _load_config(path) -> dict:
     """The train-eval config file as a dict ({} without one)."""
     if path is None:
         return {}
-    p = Path(path)
-    if not p.is_file():
-        raise GliomicsError(f"config file not found: {p}")
     try:
-        config = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise GliomicsError(f"config {p} is not valid JSON: {exc}") from exc
+        config = json.loads(read_bytes(path))
+    except ValueError as exc:   # not JSON, or not UTF-8
+        raise GliomicsError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict) or not set(config) <= set(_CONFIG_KEYS):
-        raise GliomicsError(f"config {p} must be a JSON object with keys "
+        raise GliomicsError(f"config {path} must be a JSON object with keys "
                             f"from {list(_CONFIG_KEYS)}")
     return config
 
@@ -185,6 +182,9 @@ def cmd_features(args) -> int:
 
 # ------------------------------------------------------------- volumetrics
 
+_RATIO_COLUMNS = tuple(f"ratio_pct_label{k}" for k in TUMOR_LABELS)
+
+
 def cmd_volumetrics(args) -> int:
     rows, _ = read_manifest(args.manifest)
     if not rows:
@@ -194,7 +194,7 @@ def cmd_volumetrics(args) -> int:
     prov = _provenance(args.seed, config)
     table = [["subject_id", "grade",
               *[f"vol_mm3_label{k}" for k in TUMOR_LABELS], "total_mm3",
-              *[f"ratio_pct_label{k}" for k in TUMOR_LABELS]]]
+              *_RATIO_COLUMNS]]
     for row in sorted(rows, key=lambda r: r["subject_id"]):
         lm = load_labelmap(row["labelmap"])
         cv = component_volumes(lm, include_edema=not args.exclude_edema)
@@ -268,15 +268,9 @@ def cmd_train_eval(args) -> int:
 
 def cmd_stats(args) -> int:
     path = Path(args.ratios)
-    if not path.is_file():
-        raise GliomicsError(f"ratios CSV not found: {path}")
-    rows = read_csv(path)
-    if not rows or "grade" not in rows[0]:
-        raise GliomicsError(f"{path} is not a volumetrics table (no grade column)")
-    ratio_cols = [c for c in rows[0] if c.startswith("ratio_")]
-    if not ratio_cols:
-        raise GliomicsError(f"{path} has no ratio_* columns")
-    grades = sorted({int(r["grade"]) for r in rows})
+    rows = read_csv(path, {"grade": int,
+                           **dict.fromkeys(_RATIO_COLUMNS, float)})
+    grades = sorted({r["grade"] for r in rows})
     if len(grades) < 3:
         raise GliomicsError(f"need all three grades, found {grades}")
 
@@ -284,9 +278,8 @@ def cmd_stats(args) -> int:
     prov = _provenance(args.seed, config)
     results = {}
     table = [["ratio", "h", "p_kw", "pair", "z", "p_adjusted", "significant"]]
-    for col in ratio_cols:
-        groups = [[float(r[col]) for r in rows if int(r["grade"]) == g]
-                  for g in grades]
+    for col in _RATIO_COLUMNS:
+        groups = [[r[col] for r in rows if r["grade"] == g] for g in grades]
         kw = kruskal_wallis(groups)
         dunn = dunn_posthoc(groups)
         pair_rows = []

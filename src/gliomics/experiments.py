@@ -169,18 +169,16 @@ def write_feature_table(path, rows, kind: str, provenance: dict):
 
 def read_feature_table(path):
     """Inverse of write_feature_table -> (meta rows, X, kind)."""
-    records = read_csv(path)
+    fixed = {"subject_id": str, "modality": str, "grade": int, "kind": str}
+    records = read_csv(path, fixed, rest=float)
     if not records:
         raise GliomicsError(f"feature table {path} is empty")
-    fixed = ("subject_id", "modality", "grade", "kind")
     fcols = [c for c in records[0] if c not in fixed]
-    meta = [{"subject_id": rec["subject_id"], "modality": rec["modality"],
-             "grade": int(rec["grade"]), "kind": rec["kind"]}
-            for rec in records]
+    meta = [{c: rec[c] for c in fixed} for rec in records]
     kinds = {m["kind"] for m in meta}
     if len(kinds) != 1:
         raise GliomicsError(f"feature table {path} mixes kinds {sorted(kinds)}")
-    X = np.asarray([[float(rec[c]) for c in fcols] for rec in records],
+    X = np.asarray([[rec[c] for c in fcols] for rec in records],
                    dtype=np.float64)
     return meta, X, kinds.pop()
 

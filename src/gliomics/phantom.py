@@ -307,12 +307,12 @@ def read_manifest(path):
     the label map and every modality.
     """
     path = Path(path)
-    records = read_csv(path)
-    fixed = {"subject_id", "grade", "labelmap"}
+    fixed = {"subject_id": str, "grade": int, "labelmap": str}
+    records = read_csv(path, fixed)
     modalities = [c for c in (records[0] if records else ()) if c not in fixed]
     rows = []
     for rec in records:
-        row = {"subject_id": rec["subject_id"], "grade": int(rec["grade"]),
+        row = {"subject_id": rec["subject_id"], "grade": rec["grade"],
                "labelmap": str((path.parent / rec["labelmap"]).resolve())}
         for m in modalities:
             row[m] = str((path.parent / rec[m]).resolve())

@@ -377,6 +377,12 @@ class TestTrainEvalCommand:
         assert main(["train-eval", str(feature_dir / "features_v1.csv"),
                      "--out", str(tmp_path), "--config", str(cfg)]) == 2
 
+    def test_binary_config(self, feature_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\x80\x81 not text")
+        assert main(["train-eval", str(feature_dir / "features_v1.csv"),
+                     "--out", str(tmp_path), "--config", str(cfg)]) == 2
+
     @pytest.mark.parametrize("config", [
         [1],
         {"n_runs": "abc"},
@@ -491,6 +497,83 @@ class TestRerunIdentity:
         for rel in files:
             assert (tmp_path / "a" / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes(), rel
+
+
+def _edit_csv(src, dst, edit):
+    """Copy ``src`` to ``dst``, with ``edit`` applied in place to the list of
+    CSV rows (header first) unless it is None; ``#`` lines are kept."""
+    if edit is None:
+        shutil.copy(src, dst)
+        return dst
+    lines = src.read_text().splitlines()
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    edit(rows)
+    kept = [ln for ln in lines if ln.startswith("#")]
+    dst.write_text("\n".join(kept + [",".join(r) for r in rows]) + "\n")
+    return dst
+
+
+def _drop_column(name):
+    def edit(rows):
+        i = rows[0].index(name)
+        for row in rows:
+            del row[i]
+    return edit
+
+
+def _set_first_cell(name, value):
+    def edit(rows):
+        rows[1][rows[0].index(name)] = value
+    return edit
+
+
+# (command, input, edit, what the logged error says after the file name)
+CSV_FAULTS = {
+    "manifest-no-labelmap-features":
+        ("features", "manifest", _drop_column("labelmap"),
+         "no labelmap column"),
+    "manifest-no-labelmap-volumetrics":
+        ("volumetrics", "manifest", _drop_column("labelmap"),
+         "no labelmap column"),
+    "manifest-grade-two":
+        ("features", "manifest", _set_first_cell("grade", "two"),
+         "row 1, column grade: cannot read 'two' as int"),
+    "manifest-binary":
+        ("features", "nifti", None, "not a CSV text file"),
+    "feature-cell-abc":
+        ("train-eval", "features", _set_first_cell("f000", "abc"),
+         "row 1, column f000: cannot read 'abc' as float"),
+    "feature-no-subject_id":
+        ("train-eval", "features", _drop_column("subject_id"),
+         "no subject_id column"),
+    "volumetrics-grade-x":
+        ("stats", "volumetrics", _set_first_cell("grade", "x"),
+         "row 1, column grade: cannot read 'x' as int"),
+    "volumetrics-ratio-na":
+        ("stats", "volumetrics", _set_first_cell("ratio_pct_label1", "n/a"),
+         "row 1, column ratio_pct_label1: cannot read 'n/a' as float"),
+}
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("fault", list(CSV_FAULTS))
+    def test_exits_2_naming_file_and_row(self, cohort_dir, feature_dir,
+                                         volumetrics_csv, tmp_path, caplog,
+                                         fault):
+        command, source, edit, message = CSV_FAULTS[fault]
+        src = {"manifest": cohort_dir / "manifest.csv",
+               "nifti": cohort_dir / "g2_000_t2.nii",
+               "features": feature_dir / "features_v1.csv",
+               "volumetrics": volumetrics_csv}[source]
+        bad = _edit_csv(src, tmp_path / "bad.csv", edit)
+        out = tmp_path / "out"
+        argv = [command, str(bad), "--out",
+                str(out / "v.csv" if command == "volumetrics" else out)]
+        if command == "train-eval":
+            argv += ["--runs", "1"]
+        assert main(argv) == 2
+        assert f"{bad}: {message}" in caplog.text
+        assert not out.exists()
 
 
 class TestParser:
