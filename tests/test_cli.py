@@ -500,11 +500,8 @@ class TestRerunIdentity:
 
 
 def _edit_csv(src, dst, edit):
-    """Copy ``src`` to ``dst``, with ``edit`` applied in place to the list of
-    CSV rows (header first) unless it is None; ``#`` lines are kept."""
-    if edit is None:
-        shutil.copy(src, dst)
-        return dst
+    """Copy CSV ``src`` to ``dst``, with ``edit`` applied in place to the
+    list of rows (header first); ``#`` lines are kept."""
     lines = src.read_text().splitlines()
     rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
     edit(rows)
@@ -527,7 +524,8 @@ def _set_first_cell(name, value):
     return edit
 
 
-# (command, input, edit, what the logged error says after the file name)
+# (command, input, edit or None to pass the input as it is, what the
+# logged error says after the file name)
 CSV_FAULTS = {
     "manifest-no-labelmap-features":
         ("features", "manifest", _drop_column("labelmap"),
@@ -565,7 +563,8 @@ class TestMalformedCsv:
                "nifti": cohort_dir / "g2_000_t2.nii",
                "features": feature_dir / "features_v1.csv",
                "volumetrics": volumetrics_csv}[source]
-        bad = _edit_csv(src, tmp_path / "bad.csv", edit)
+        bad = src if edit is None else _edit_csv(src, tmp_path / "bad.csv",
+                                                 edit)
         out = tmp_path / "out"
         argv = [command, str(bad), "--out",
                 str(out / "v.csv" if command == "volumetrics" else out)]
