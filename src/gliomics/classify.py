@@ -5,6 +5,8 @@ for the two learners (one-against-all SVM, tanh/softmax network).
 from __future__ import annotations
 
 import json
+import logging
+from collections import Counter
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -12,6 +14,8 @@ import numpy as np
 
 from .errors import EmptyMatrix
 from .svm import SMO_MAX_PASSES, SMO_TOL, Kernel, train_ova
+
+log = logging.getLogger(__name__)
 
 
 def _positive(value, kind) -> bool:
@@ -90,7 +94,8 @@ def select_svm_hyperparams(X_tr, y_tr, X_val, y_val, kernel_name: str,
     """Grid-search C (and gamma for rbf) by validation accuracy.
 
     Inputs are already standardized.  Ties keep the earliest grid entry, so
-    selection is deterministic.  Returns (kernel, C, fitted OvaSvm).
+    selection is deterministic.  Returns (kernel, C, fitted OvaSvm) and logs
+    the search's SMO work and choice as one debug line.
     """
     d = np.asarray(X_tr).shape[1]
     if kernel_name == "linear":
@@ -98,11 +103,20 @@ def select_svm_hyperparams(X_tr, y_tr, X_val, y_val, kernel_name: str,
     else:
         kernels = [Kernel("rbf", gamma=m / d) for m in cfg.rbf_gamma_grid]
     best = None
+    tally = Counter()
     for kern in kernels:
-        for C in cfg.svm_c_grid:
-            model = train_ova(X_tr, y_tr, kern, C=C, tol=cfg.smo_tolerance,
-                              max_passes=cfg.smo_max_passes)
+        models, counts = train_ova(X_tr, y_tr, kern, cfg.svm_c_grid,
+                                   tol=cfg.smo_tolerance,
+                                   max_passes=cfg.smo_max_passes,
+                                   return_counts=True)
+        tally.update(counts)
+        for C, model in zip(cfg.svm_c_grid, models):
             acc = float(np.mean(model.predict(X_val) == np.asarray(y_val)))
             if best is None or acc > best[0]:
                 best = (acc, kern, C, model)
+    log.debug("svm grid %s: solved %d, reused %d, pair updates %d; chose "
+              "gamma %s, C %g", kernel_name, tally["solved"], tally["reused"],
+              tally["updates"],
+              "-" if best[1].gamma is None else f"{best[1].gamma:.4g}",
+              best[2])
     return best[1], best[2], best[3]

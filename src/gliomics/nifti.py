@@ -185,6 +185,11 @@ def read_nifti(path) -> ParsedNifti:
 
     dt = np.dtype(_DTYPE_FOR_CODE[code]).newbyteorder(order)
     n_vox = int(np.prod(shape))
+    if magic == b"n+1" and hdr["vox_offset"] < VOX_OFFSET:
+        # a single-file image's voxels start after the header and the
+        # 4-byte extension flag; a smaller offset would decode header bytes
+        raise BadMagic(f"{path}: vox_offset {float(hdr['vox_offset']):g} is "
+                       f"below {VOX_OFFSET} in a single-file image")
     offset = max(int(hdr["vox_offset"]), HEADER_SIZE)
     if len(blob) < offset + n_vox * dt.itemsize:
         raise IoFailure(f"{path}: truncated voxel payload")

@@ -19,12 +19,26 @@ deterministic: ties go to the lowest index.
 the number of updates made, divided by ``n`` and rounded up.
 
 One-against-all multiclass stacks one binary model per class and predicts
-the class with the maximal decision value.
+the class with the maximal decision value.  ``train_ova`` fits a whole C
+grid on one kernel matrix and solves each distinct dual once.
+``SmoResult.reached_c`` records whether any alpha reached C after a pair
+step.  If none did, no C-type cap ever bound, so every clipped step, every
+``t == cap`` test and every ``I_up``/``I_low`` membership is the same at
+any C' >= C: a fresh solve at C' makes the same updates and returns
+bit-identical alphas, bias and passes.  That solve is reused for the later
+grid values; only the model's ``C`` differs.  An unsorted grid compares
+against the last C actually solved.
+
+Both classes of a two-class problem are solved.  Their exact decision
+functions are negatives of each other, but the working-set choice is not
+symmetric under ``y -> -y``, so the two solves stop at different points
+within ``tol``, and negating the first model changes scores.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +80,8 @@ class SmoResult:
     alphas: np.ndarray
     bias: float
     passes: int
+    updates: int        # pair updates made
+    reached_c: bool     # some alpha was >= C after a pair step
 
 
 def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = SMO_TOL,
@@ -87,6 +103,7 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = SMO_TOL,
     up, low = pos.copy(), ~pos  # I_up and I_low at alpha = 0
     limit = max_passes * n
     iters = 0
+    reached_c = False
     rechecked = False
     while True:
         F_up = np.where(up, F, -np.inf)
@@ -115,6 +132,7 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = SMO_TOL,
         t = min(b[j] * inv_curv[i, j], cap_i, cap_j)
         alphas[i] = (C if pos[i] else 0.0) if t == cap_i else a_i + y[i] * t
         alphas[j] = (0.0 if pos[j] else C) if t == cap_j else a_j - y[j] * t
+        reached_c = reached_c or alphas[i] >= C or alphas[j] >= C
         F -= t * (K[i] - K[j])
         for k in (i, j):
             up[k] = alphas[k] < C if pos[k] else alphas[k] > 0.0
@@ -122,7 +140,7 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = SMO_TOL,
         iters += 1
     free = (alphas > 0.0) & (alphas < C)
     bias = float(F[free].mean()) if free.any() else 0.5 * float(m + M)
-    return SmoResult(alphas, bias, -(-iters // n))
+    return SmoResult(alphas, bias, -(-iters // n), iters, reached_c)
 
 
 @dataclass(frozen=True)
@@ -170,8 +188,11 @@ def train_svm_binary(X: np.ndarray, y: np.ndarray, kernel: Kernel,
     y = np.asarray(y, dtype=np.float64)
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise SingleClass("binary training needs both -1 and +1 labels")
-    K = kernel.matrix(X, X)
-    res = smo_solve(K, y, C, tol=tol, max_passes=max_passes)
+    res = smo_solve(kernel.matrix(X, X), y, C, tol=tol, max_passes=max_passes)
+    return _binary_model(kernel, X, y, res, C)
+
+
+def _binary_model(kernel, X, y, res: SmoResult, C: float) -> SvmModel:
     keep = res.alphas > 1e-10
     return SvmModel(kernel, X[keep].copy(), (res.alphas * y)[keep],
                     res.bias, C)
@@ -199,21 +220,44 @@ class OvaSvm:
 
 
 def train_ova(X: np.ndarray, classes: np.ndarray, kernel: Kernel,
-              C: float = 1.0, tol: float = SMO_TOL,
-              max_passes: int = SMO_MAX_PASSES) -> OvaSvm:
-    """One binary model per distinct class value (class vs rest)."""
+              c_grid, tol: float = SMO_TOL, max_passes: int = SMO_MAX_PASSES,
+              return_counts: bool = False):
+    """One-against-all models (class vs rest), one OvaSvm per ``c_grid``
+    value in grid order.
+
+    All fits share one kernel matrix.  A class's solve is reused at a later
+    C when no alpha reached the C it was solved at and the later C is not
+    smaller.  With ``return_counts`` also returns a Counter of ``solved``
+    and ``reused`` models and the solves' pair ``updates``.
+    """
     X = np.asarray(X, dtype=np.float64)
     classes = np.asarray(classes)
     values = sorted(np.unique(classes).tolist())
     if len(values) < 2:
         raise SingleClass("one-against-all needs at least two classes")
-    counts, models = [], []
+    counts, labels = [], []
     for v in values:
         n_v = int(np.sum(classes == v))
         if n_v < 2:
             raise SingleClass(f"class {v} has only {n_v} sample(s)")
-        y = np.where(classes == v, 1.0, -1.0)
-        models.append(train_svm_binary(X, y, kernel, C=C, tol=tol,
-                                       max_passes=max_passes))
         counts.append(n_v)
-    return OvaSvm(tuple(values), tuple(models), tuple(counts))
+        labels.append(np.where(classes == v, 1.0, -1.0))
+    K = kernel.matrix(X, X)
+    last = [None] * len(labels)      # (C, SmoResult) of each class's solve
+    tally = Counter()
+    grid = []
+    for C in c_grid:
+        models = []
+        for k, y in enumerate(labels):
+            if last[k] is not None and not last[k][1].reached_c \
+                    and C >= last[k][0]:
+                res = last[k][1]
+                tally["reused"] += 1
+            else:
+                res = smo_solve(K, y, C, tol=tol, max_passes=max_passes)
+                last[k] = (C, res)
+                tally["solved"] += 1
+                tally["updates"] += res.updates
+            models.append(_binary_model(kernel, X, y, res, C))
+        grid.append(OvaSvm(tuple(values), tuple(models), tuple(counts)))
+    return (grid, tally) if return_counts else grid

@@ -14,6 +14,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -404,6 +405,32 @@ class TestTrainEvalCommand:
         assert main(["train-eval", str(feature_dir / "features_v1.csv"),
                      "--out", str(out), "--config", str(cfg)]) == 2
         assert not out.exists()
+
+    def test_debug_log_reports_svm_grid_and_keeps_bytes(self, tmp_path):
+        # grades far apart: some C leaves every alpha below it, so a later,
+        # larger C reuses that solve
+        rng = np.random.default_rng(4)
+        rows = [(f"s{g}{i}", "t2", g, rng.normal(10.0 * g, 1.0, size=14))
+                for g in (2, 3, 4) for i in range(5)]
+        table = write_feature_table(tmp_path / "features_v1.csv", rows, "v1",
+                                    {"tool_version": "0", "seed": 0,
+                                     "config_digest": "0" * 16})
+        argv = ["train-eval", str(table), "--runs", "2"]
+        assert main([*argv, "--out", str(tmp_path / "quiet")]) == 0
+        out = subprocess.run(
+            [sys.executable, "-m", "gliomics", *argv,
+             "--out", str(tmp_path / "debug")], capture_output=True,
+            text=True, env={**_source_env(), "GLIOMICS_LOG": "debug"})
+        assert out.returncode == 0, out.stderr
+        lines = [ln for ln in out.stderr.splitlines() if "svm grid" in ln]
+        # one line per SVM run: 2 runs x 4 experiments x 2 kernels
+        assert len(lines) == 16
+        for field in ("solved", "reused", "pair updates", "gamma", "C"):
+            assert all(field in ln for ln in lines)
+        assert any(int(re.search(r"reused (\d+)", ln)[1]) > 0 for ln in lines)
+        quiet = {p.name: p.read_bytes() for p in (tmp_path / "quiet").iterdir()}
+        debug = {p.name: p.read_bytes() for p in (tmp_path / "debug").iterdir()}
+        assert len(quiet) == 1 + 12 and quiet == debug
 
     def test_provenance_digests_effective_config(self, tmp_path):
         # five subjects per grade leave every SVM two training rows per

@@ -100,6 +100,19 @@ def test_unsupported_datatype(tmp_path):
         nifti.read_nifti(p)
 
 
+@pytest.mark.parametrize("offset", [-1.0, 0.0, 348.0, 351.0])
+def test_vox_offset_inside_header_rejected(tmp_path, offset):
+    # a single-file image keeps its voxels after the 348-byte header and
+    # the 4-byte extension flag; an offset below 352 would decode header
+    # bytes as voxels
+    p = tmp_path / "t.nii"
+    nifti.write_nifti(p, np.arange(27, dtype=np.float32).reshape(3, 3, 3),
+                      (1, 1, 1), np.eye(4), np.float32)
+    _patch_header(p, vox_offset=offset)
+    with pytest.raises(BadMagic, match="vox_offset"):
+        nifti.read_nifti(p)
+
+
 def test_truncated_payload(tmp_path):
     p = tmp_path / "cut.nii"
     nifti.write_nifti(p, np.zeros((4, 4, 4)), (1, 1, 1), np.eye(4), np.float64)
@@ -248,7 +261,7 @@ class TestFaultInjection:
     @settings(max_examples=500, deadline=None)
     def test_bad_header_field_raises_or_keeps_geometry_usable(self, packed,
                                                              fault):
-        blob, _, mutant = packed
+        blob, good, mutant = packed
         name, i, value = fault
         mutant.write_bytes(blob)
         hdr = np.frombuffer(gzip.decompress(blob)[:nifti.HEADER_SIZE],
@@ -260,6 +273,8 @@ class TestFaultInjection:
             out = nifti.read_nifti(mutant)
         except GliomicsError:
             return
+        if name == "vox_offset":
+            assert _same_volume(out, good)
         assert np.isfinite(out.spacing).all()
         assert np.isfinite(out.affine).all()
         Volume(out.data, out.spacing, out.affine)   # a non-singular grid

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gliomics import svm
 from gliomics.errors import NoConvergence, SingleClass
 from gliomics.svm import (Kernel, OvaSvm, SvmModel, smo_solve,
                           train_ova, train_svm_binary)
@@ -34,6 +35,25 @@ def svm_problems(draw):
     kernel = Kernel("linear") if gamma is None else Kernel("rbf", gamma=gamma)
     C = draw(st.sampled_from([0.1, 1.0, 10.0, 100.0]))
     return kernel.matrix(X, X), y, C
+
+
+@st.composite
+def ova_grids(draw):
+    """(X, classes, kernel, C grid): 2 or 3 classes of at least two samples
+    each, a C grid sorted or not, repeats allowed."""
+    n_classes = draw(st.integers(2, 3))
+    n = draw(st.integers(2 * n_classes, 30))
+    X = draw(hnp.arrays(np.float64, (n, draw(st.integers(1, 4))),
+                        elements=st.floats(-5.0, 5.0)))
+    classes = draw(hnp.arrays(np.int64, n,
+                              elements=st.integers(0, n_classes - 1)))
+    classes[:2 * n_classes] = np.repeat(np.arange(n_classes), 2)
+    gamma = draw(st.sampled_from([None, 0.1, 1.0, 10.0]))
+    kernel = Kernel("linear") if gamma is None else Kernel("rbf", gamma=gamma)
+    grid = st.lists(st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]),
+                    min_size=1, max_size=5)
+    c_grid = draw(st.one_of(grid, grid.map(sorted)))
+    return X, classes, kernel, c_grid
 
 
 def blobs(rng, n_per_class, centers, sd=0.5):
@@ -176,23 +196,23 @@ class TestBinaryTraining:
 class TestOneVsAll:
     def test_three_separated_blobs(self, rng):
         X, y = blobs(rng, 15, [(0.0, 4.0), (-4.0, -2.0), (4.0, -2.0)], sd=0.6)
-        model = train_ova(X, y, Kernel("linear"), C=10.0)
+        [model] = train_ova(X, y, Kernel("linear"), [10.0])
         assert np.mean(model.predict(X) == y) >= 0.95
 
     def test_decision_matrix_shape(self, rng):
         X, y = blobs(rng, 5, [(0.0, 4.0), (-4.0, -2.0), (4.0, -2.0)], sd=0.3)
-        model = train_ova(X, y, Kernel("rbf", gamma=0.2), C=5.0)
+        [model] = train_ova(X, y, Kernel("rbf", gamma=0.2), [5.0])
         assert model.decision_matrix(X).shape == (15, 3)
 
     def test_needs_two_samples_per_class(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(SingleClass):
-            train_ova(X, np.array([0, 0, 1]), Kernel("linear"))
+            train_ova(X, np.array([0, 0, 1]), Kernel("linear"), [1.0])
 
     def test_needs_two_classes(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(SingleClass):
-            train_ova(X, np.array([2, 2]), Kernel("linear"))
+            train_ova(X, np.array([2, 2]), Kernel("linear"), [1.0])
 
     def test_prevalence_breaks_ties(self):
         # both per-class models are the same object, so every row of the
@@ -203,8 +223,55 @@ class TestOneVsAll:
         pred = ova.predict(np.array([[1.0, 1.0], [0.5, -0.5]]))
         assert np.all(pred == 7)
 
+    @given(ova_grids())
+    @settings(max_examples=100, deadline=None)
+    def test_grid_solves_are_bit_identical_to_fresh_ones(self, problem):
+        # every solve behind a grid model, reused along C or not, equals an
+        # independent solve at the model's C
+        X, classes, kernel, c_grid = problem
+        real, used = svm._binary_model, []
+
+        def record(kernel, X, y, res, C):
+            used.append((y, res, C))
+            return real(kernel, X, y, res, C)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(svm, "_binary_model", record)
+            grid = train_ova(X, classes, kernel, c_grid)
+        n_values = len(np.unique(classes))
+        assert len(used) == len(c_grid) * n_values
+        K = kernel.matrix(X, X)
+        for index, (y, res, C) in enumerate(used):
+            fresh = smo_solve(K, y, C)
+            assert np.array_equal(res.alphas, fresh.alphas)
+            assert res.bias == fresh.bias and res.passes == fresh.passes
+            model = grid[index // n_values].models[index % n_values]
+            ref = train_svm_binary(X, y, kernel, C=C)
+            assert C == c_grid[index // n_values] and model.C == C
+            assert np.array_equal(model.duals, ref.duals)
+            assert np.array_equal(model.support_vectors, ref.support_vectors)
+            assert model.bias == ref.bias
+
+    def test_separable_grid_reuses_solves(self, rng):
+        X, y = blobs(rng, 10, [(0.0, 6.0), (-6.0, -4.0), (6.0, -4.0)])
+        grid, counts = train_ova(X, y, Kernel("linear"), [0.1, 1.0, 10.0,
+                                                          100.0],
+                                 return_counts=True)
+        assert counts["reused"] > 0
+        assert counts["solved"] + counts["reused"] == 3 * 4
+        for C, model in zip([0.1, 1.0, 10.0, 100.0], grid):
+            [alone] = train_ova(X, y, Kernel("linear"), [C])
+            assert np.array_equal(model.decision_matrix(X),
+                                  alone.decision_matrix(X))
+
+    def test_no_convergence_surfaces_from_the_grid(self, rng):
+        X, labels = blobs(rng, 25, [(-0.1, 0.0), (0.1, 0.0)], sd=2.0)
+        with pytest.raises(NoConvergence):
+            train_ova(X, labels, Kernel("rbf", gamma=5.0), [0.1, 1000.0],
+                      max_passes=1)
+
     def test_deterministic(self, rng):
         X, y = blobs(rng, 10, [(0.0, 3.0), (-3.0, -2.0), (3.0, -2.0)])
-        a = train_ova(X, y, Kernel("linear"), C=1.0)
-        b = train_ova(X, y, Kernel("linear"), C=1.0)
+        [a] = train_ova(X, y, Kernel("linear"), [1.0])
+        [b] = train_ova(X, y, Kernel("linear"), [1.0])
         assert np.array_equal(a.decision_matrix(X), b.decision_matrix(X))
