@@ -107,8 +107,7 @@ def select_svm_hyperparams(X_tr, y_tr, X_val, y_val, kernel_name: str,
     for kern in kernels:
         models, counts = train_ova(X_tr, y_tr, kern, cfg.svm_c_grid,
                                    tol=cfg.smo_tolerance,
-                                   max_passes=cfg.smo_max_passes,
-                                   return_counts=True)
+                                   max_passes=cfg.smo_max_passes)
         tally.update(counts)
         for C, model in zip(cfg.svm_c_grid, models):
             acc = float(np.mean(model.predict(X_val) == np.asarray(y_val)))

@@ -79,9 +79,13 @@ class Kernel:
 class SmoResult:
     alphas: np.ndarray
     bias: float
-    passes: int
     updates: int        # pair updates made
     reached_c: bool     # some alpha was >= C after a pair step
+
+    @property
+    def passes(self) -> int:
+        """Pair updates made, divided by ``n`` and rounded up."""
+        return -(-self.updates // len(self.alphas))
 
 
 def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = SMO_TOL,
@@ -140,7 +144,7 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = SMO_TOL,
         iters += 1
     free = (alphas > 0.0) & (alphas < C)
     bias = float(F[free].mean()) if free.any() else 0.5 * float(m + M)
-    return SmoResult(alphas, bias, -(-iters // n), iters, reached_c)
+    return SmoResult(alphas, bias, iters, reached_c)
 
 
 @dataclass(frozen=True)
@@ -220,15 +224,14 @@ class OvaSvm:
 
 
 def train_ova(X: np.ndarray, classes: np.ndarray, kernel: Kernel,
-              c_grid, tol: float = SMO_TOL, max_passes: int = SMO_MAX_PASSES,
-              return_counts: bool = False):
+              c_grid, tol: float = SMO_TOL, max_passes: int = SMO_MAX_PASSES):
     """One-against-all models (class vs rest), one OvaSvm per ``c_grid``
     value in grid order.
 
     All fits share one kernel matrix.  A class's solve is reused at a later
     C when no alpha reached the C it was solved at and the later C is not
-    smaller.  With ``return_counts`` also returns a Counter of ``solved``
-    and ``reused`` models and the solves' pair ``updates``.
+    smaller.  Returns ``(grid, tally)``: the list of OvaSvm and a Counter of
+    ``solved`` and ``reused`` models and the solves' pair ``updates``.
     """
     X = np.asarray(X, dtype=np.float64)
     classes = np.asarray(classes)
@@ -260,4 +263,4 @@ def train_ova(X: np.ndarray, classes: np.ndarray, kernel: Kernel,
                 tally["updates"] += res.updates
             models.append(_binary_model(kernel, X, y, res, C))
         grid.append(OvaSvm(tuple(values), tuple(models), tuple(counts)))
-    return (grid, tally) if return_counts else grid
+    return grid, tally

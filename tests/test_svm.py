@@ -196,12 +196,12 @@ class TestBinaryTraining:
 class TestOneVsAll:
     def test_three_separated_blobs(self, rng):
         X, y = blobs(rng, 15, [(0.0, 4.0), (-4.0, -2.0), (4.0, -2.0)], sd=0.6)
-        [model] = train_ova(X, y, Kernel("linear"), [10.0])
+        [model], _ = train_ova(X, y, Kernel("linear"), [10.0])
         assert np.mean(model.predict(X) == y) >= 0.95
 
     def test_decision_matrix_shape(self, rng):
         X, y = blobs(rng, 5, [(0.0, 4.0), (-4.0, -2.0), (4.0, -2.0)], sd=0.3)
-        [model] = train_ova(X, y, Kernel("rbf", gamma=0.2), [5.0])
+        [model], _ = train_ova(X, y, Kernel("rbf", gamma=0.2), [5.0])
         assert model.decision_matrix(X).shape == (15, 3)
 
     def test_needs_two_samples_per_class(self):
@@ -237,7 +237,7 @@ class TestOneVsAll:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(svm, "_binary_model", record)
-            grid = train_ova(X, classes, kernel, c_grid)
+            grid, _ = train_ova(X, classes, kernel, c_grid)
         n_values = len(np.unique(classes))
         assert len(used) == len(c_grid) * n_values
         K = kernel.matrix(X, X)
@@ -255,12 +255,11 @@ class TestOneVsAll:
     def test_separable_grid_reuses_solves(self, rng):
         X, y = blobs(rng, 10, [(0.0, 6.0), (-6.0, -4.0), (6.0, -4.0)])
         grid, counts = train_ova(X, y, Kernel("linear"), [0.1, 1.0, 10.0,
-                                                          100.0],
-                                 return_counts=True)
+                                                          100.0])
         assert counts["reused"] > 0
         assert counts["solved"] + counts["reused"] == 3 * 4
         for C, model in zip([0.1, 1.0, 10.0, 100.0], grid):
-            [alone] = train_ova(X, y, Kernel("linear"), [C])
+            [alone], _ = train_ova(X, y, Kernel("linear"), [C])
             assert np.array_equal(model.decision_matrix(X),
                                   alone.decision_matrix(X))
 
@@ -272,6 +271,6 @@ class TestOneVsAll:
 
     def test_deterministic(self, rng):
         X, y = blobs(rng, 10, [(0.0, 3.0), (-3.0, -2.0), (3.0, -2.0)])
-        [a] = train_ova(X, y, Kernel("linear"), [1.0])
-        [b] = train_ova(X, y, Kernel("linear"), [1.0])
+        [a], _ = train_ova(X, y, Kernel("linear"), [1.0])
+        [b], _ = train_ova(X, y, Kernel("linear"), [1.0])
         assert np.array_equal(a.decision_matrix(X), b.decision_matrix(X))
