@@ -4,7 +4,6 @@ for the two learners (one-against-all SVM, tanh/softmax network).
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -58,15 +57,6 @@ class Standardizer:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return (X - self.mean) / self.sd
 
-    def to_json(self) -> str:
-        return json.dumps({"mean": self.mean.tolist(), "sd": self.sd.tolist()},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Standardizer":
-        d = json.loads(text)
-        return cls(np.asarray(d["mean"]), np.asarray(d["sd"]))
-
 
 def fit_standardizer(X: np.ndarray) -> Standardizer:
     """Column-wise z-score parameters from training rows only.
@@ -113,9 +103,9 @@ def select_svm_hyperparams(X_tr, y_tr, X_val, y_val, kernel_name: str,
             acc = float(np.mean(model.predict(X_val) == np.asarray(y_val)))
             if best is None or acc > best[0]:
                 best = (acc, kern, C, model)
-    log.debug("svm grid %s: solved %d, reused %d, pair updates %d; chose "
-              "gamma %s, C %g", kernel_name, tally["solved"], tally["reused"],
-              tally["updates"],
+    log.debug("svm grid %s: solved %d, reused %d, mirrored %d, pair updates "
+              "%d; chose gamma %s, C %g", kernel_name, tally["solved"],
+              tally["reused"], tally["mirrored"], tally["updates"],
               "-" if best[1].gamma is None else f"{best[1].gamma:.4g}",
               best[2])
     return best[1], best[2], best[3]

@@ -88,17 +88,13 @@ def run_once(X: np.ndarray, grades: np.ndarray, classifier: str,
 
     accuracy = float(np.mean(pred == y_te))
     if len(classes) == 2:
-        pos = classes[1]
-        col = classes.index(pos)
-        y_bin = (y_te == pos).astype(int)
+        # ranked by the higher grade's column: the SVM's two columns are
+        # exact negatives, and that is the one its solver fitted
+        y_bin = (y_te == classes[1]).astype(int)
         if y_bin.min() == y_bin.max():
             auc = float("nan")
         else:
-            if classifier == "ann":
-                _, auc = roc_auc(scores[:, col], y_bin)
-            else:
-                # decision margin of the higher grade against the lower
-                _, auc = roc_auc(scores[:, col] - scores[:, 1 - col], y_bin)
+            _, auc = roc_auc(scores[:, 1], y_bin)
     else:
         auc = _ovr_auc(scores, y_te, classes)
     return RunResult(seed, accuracy, auc)

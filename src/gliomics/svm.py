@@ -29,15 +29,16 @@ bit-identical alphas, bias and passes.  That solve is reused for the later
 grid values; only the model's ``C`` differs.  An unsorted grid compares
 against the last C actually solved.
 
-Both classes of a two-class problem are solved.  Their exact decision
-functions are negatives of each other, but the working-set choice is not
-symmetric under ``y -> -y``, so the two solves stop at different points
-within ``tol``, and negating the first model changes scores.
+A two-class problem is solved once, with the higher class as +1 (the
+LIBSVM convention; Chang & Lin, ACM TIST 2011), and the lower class's
+model is that model with its duals and bias negated, so the two decision
+columns are exact negatives.  Solving the lower class instead would not
+give the same model: the working-set choice is not symmetric under ``y ->
+-y``, so the two solves stop at different points within ``tol``.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -98,23 +99,32 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = SMO_TOL,
     """
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
-    pos = y > 0
     kdiag = np.diag(K)
     inv_curv = 1.0 / np.maximum(kdiag[:, None] + kdiag[None, :] - 2.0 * K,
                                 SMO_TAU)
     alphas = np.zeros(n)
     F = y.copy()                # -y * gradient at alpha = 0
-    up, low = pos.copy(), ~pos  # I_up and I_low at alpha = 0
+    # I_up and I_low as masks: up is +inf on I_up and -inf off it, low is
+    # -inf on I_low and +inf off it, so min(F, up) is F on I_up and -inf
+    # elsewhere and max(F, low) is F on I_low and +inf elsewhere.  Both only
+    # select, so every value matches the boolean-mask formulation bit for bit
+    up = np.where(y > 0, np.inf, -np.inf)   # at alpha = 0: I_up = {y > 0}
+    low = up.copy()                         # and I_low = {y < 0}
+    # the pair step reads scalars as Python floats and writes into these
+    # buffers: at the sizes the grid solves, numpy scalars and fresh arrays
+    # cost more than the O(n) arithmetic
+    labels = y.tolist()
+    F_up, F_low, b, gain, dF = (np.empty(n) for _ in range(5))
     limit = max_passes * n
     iters = 0
     reached_c = False
     rechecked = False
     while True:
-        F_up = np.where(up, F, -np.inf)
+        np.minimum(F, up, out=F_up)
         i = int(F_up.argmax())
-        m = F_up[i]
-        F_low = np.where(low, F, np.inf)
-        M = F_low.min()
+        m = F_up.item(i)
+        np.maximum(F, low, out=F_low)
+        M = F_low.item(int(F_low.argmin()))
         if m - M <= tol:
             if rechecked:
                 break
@@ -127,20 +137,28 @@ def smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = SMO_TOL,
             raise NoConvergence(
                 f"SMO did not settle within {max_passes} sweeps "
                 f"({limit} pair updates, gap {m - M:.3g} > tol {tol:g})")
-        b = np.maximum(m - F_low, 0.0)   # positive exactly on the candidates
-        j = int((b * b * inv_curv[i]).argmax())
+        np.subtract(m, F_low, out=b)
+        np.maximum(b, 0.0, out=b)        # positive exactly on the candidates
+        np.multiply(b, b, out=gain)
+        gain *= inv_curv[i]
+        j = int(gain.argmax())          # never i, whose b is 0
         # move alpha_i by +y_i t and alpha_j by -y_j t, which keeps y'a = 0
-        a_i, a_j = alphas[i], alphas[j]
-        cap_i = C - a_i if pos[i] else a_i
-        cap_j = a_j if pos[j] else C - a_j
-        t = min(b[j] * inv_curv[i, j], cap_i, cap_j)
-        alphas[i] = (C if pos[i] else 0.0) if t == cap_i else a_i + y[i] * t
-        alphas[j] = (0.0 if pos[j] else C) if t == cap_j else a_j - y[j] * t
-        reached_c = reached_c or alphas[i] >= C or alphas[j] >= C
-        F -= t * (K[i] - K[j])
-        for k in (i, j):
-            up[k] = alphas[k] < C if pos[k] else alphas[k] > 0.0
-            low[k] = alphas[k] > 0.0 if pos[k] else alphas[k] < C
+        a_i, a_j = alphas.item(i), alphas.item(j)
+        y_i, y_j = labels[i], labels[j]
+        cap_i = C - a_i if y_i > 0 else a_i
+        cap_j = a_j if y_j > 0 else C - a_j
+        t = min(b.item(j) * inv_curv.item(i, j), cap_i, cap_j)
+        a_i = (C if y_i > 0 else 0.0) if t == cap_i else a_i + y_i * t
+        a_j = (0.0 if y_j > 0 else C) if t == cap_j else a_j - y_j * t
+        alphas[i], alphas[j] = a_i, a_j
+        reached_c = reached_c or a_i >= C or a_j >= C
+        np.subtract(K[i], K[j], out=dF)
+        dF *= t
+        F -= dF
+        up[i] = np.inf if (a_i < C if y_i > 0 else a_i > 0.0) else -np.inf
+        up[j] = np.inf if (a_j < C if y_j > 0 else a_j > 0.0) else -np.inf
+        low[i] = -np.inf if (a_i > 0.0 if y_i > 0 else a_i < C) else np.inf
+        low[j] = -np.inf if (a_j > 0.0 if y_j > 0 else a_j < C) else np.inf
         iters += 1
     free = (alphas > 0.0) & (alphas < C)
     bias = float(F[free].mean()) if free.any() else 0.5 * float(m + M)
@@ -163,25 +181,6 @@ class SvmModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.where(self.decision_function(X) >= 0.0, 1, -1)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "type": "svm",
-            "kernel": self.kernel.name,
-            "gamma": self.kernel.gamma,
-            "C": self.C,
-            "bias": self.bias,
-            "support_vectors": self.support_vectors.tolist(),
-            "duals": self.duals.tolist(),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SvmModel":
-        d = json.loads(text)
-        return cls(Kernel(d["kernel"], d["gamma"]),
-                   np.asarray(d["support_vectors"], dtype=np.float64),
-                   np.asarray(d["duals"], dtype=np.float64),
-                   float(d["bias"]), float(d["C"]))
 
 
 def train_svm_binary(X: np.ndarray, y: np.ndarray, kernel: Kernel,
@@ -230,8 +229,10 @@ def train_ova(X: np.ndarray, classes: np.ndarray, kernel: Kernel,
 
     All fits share one kernel matrix.  A class's solve is reused at a later
     C when no alpha reached the C it was solved at and the later C is not
-    smaller.  Returns ``(grid, tally)``: the list of OvaSvm and a Counter of
-    ``solved`` and ``reused`` models and the solves' pair ``updates``.
+    smaller.  With two classes only the higher one is solved, and the lower
+    one's model is its exact negation.  Returns ``(grid, tally)``: the list
+    of OvaSvm and a Counter of ``solved``, ``reused`` and ``mirrored``
+    models and the solves' pair ``updates``.
     """
     X = np.asarray(X, dtype=np.float64)
     classes = np.asarray(classes)
@@ -245,6 +246,9 @@ def train_ova(X: np.ndarray, classes: np.ndarray, kernel: Kernel,
             raise SingleClass(f"class {v} has only {n_v} sample(s)")
         counts.append(n_v)
         labels.append(np.where(classes == v, 1.0, -1.0))
+    mirror = len(values) == 2
+    if mirror:
+        labels = labels[1:]
     K = kernel.matrix(X, X)
     last = [None] * len(labels)      # (C, SmoResult) of each class's solve
     tally = Counter()
@@ -262,5 +266,10 @@ def train_ova(X: np.ndarray, classes: np.ndarray, kernel: Kernel,
                 tally["solved"] += 1
                 tally["updates"] += res.updates
             models.append(_binary_model(kernel, X, y, res, C))
+        if mirror:
+            higher = models[0]
+            models.insert(0, SvmModel(kernel, higher.support_vectors,
+                                      -higher.duals, -higher.bias, C))
+            tally["mirrored"] += 1
         grid.append(OvaSvm(tuple(values), tuple(models), tuple(counts)))
     return grid, tally

@@ -61,12 +61,6 @@ class TestStandardizer:
         out = s.apply(np.array([[14.0, -10.0]]))
         assert np.array_equal(out, [[2.0, -2.0]])
 
-    def test_json_round_trip(self, rng):
-        s = fit_standardizer(rng.normal(size=(6, 3)))
-        back = Standardizer.from_json(s.to_json())
-        assert np.allclose(back.mean, s.mean)
-        assert np.allclose(back.sd, s.sd)
-
     def test_empty_matrix_rejected(self):
         with pytest.raises(EmptyMatrix):
             fit_standardizer(np.empty((0, 4)))

@@ -425,9 +425,14 @@ class TestTrainEvalCommand:
         lines = [ln for ln in out.stderr.splitlines() if "svm grid" in ln]
         # one line per SVM run: 2 runs x 4 experiments x 2 kernels
         assert len(lines) == 16
-        for field in ("solved", "reused", "pair updates", "gamma", "C"):
+        for field in ("solved", "reused", "mirrored", "pair updates", "gamma",
+                      "C"):
             assert all(field in ln for ln in lines)
         assert any(int(re.search(r"reused (\d+)", ln)[1]) > 0 for ln in lines)
+        # kernel by kernel, experiment by experiment (II-IV, III-IV, II-III,
+        # all), two runs each: only the two-class searches mirror a model
+        mirrored = [int(re.search(r"mirrored (\d+)", ln)[1]) for ln in lines]
+        assert [n > 0 for n in mirrored] == [k % 8 < 6 for k in range(16)]
         quiet = {p.name: p.read_bytes() for p in (tmp_path / "quiet").iterdir()}
         debug = {p.name: p.read_bytes() for p in (tmp_path / "debug").iterdir()}
         assert len(quiet) == 1 + 12 and quiet == debug

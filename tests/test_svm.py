@@ -23,6 +23,61 @@ def kkt_residual(K, y, res, C):
         float(np.max(margins[res.alphas >= C - 1e-8] - 1.0, initial=0.0)))
 
 
+def reference_smo_solve(K, y, C, tol=svm.SMO_TOL,
+                        max_passes=svm.SMO_MAX_PASSES):
+    """``smo_solve``'s loop in its plain form, on boolean masks and numpy
+    scalars; ``smo_solve`` must make the same updates bit for bit."""
+    y = np.asarray(y, dtype=np.float64)
+    n = len(y)
+    pos = y > 0
+    kdiag = np.diag(K)
+    inv_curv = 1.0 / np.maximum(kdiag[:, None] + kdiag[None, :] - 2.0 * K,
+                                svm.SMO_TAU)
+    alphas = np.zeros(n)
+    F = y.copy()
+    up, low = pos.copy(), ~pos
+    limit = max_passes * n
+    iters = 0
+    reached_c = False
+    rechecked = False
+    while True:
+        F_up = np.where(up, F, -np.inf)
+        i = int(F_up.argmax())
+        m = F_up[i]
+        F_low = np.where(low, F, np.inf)
+        M = F_low.min()
+        if m - M <= tol:
+            if rechecked:
+                break
+            F = y - K @ (alphas * y)
+            rechecked = True
+            continue
+        rechecked = False
+        if iters >= limit:
+            raise NoConvergence("reference SMO did not settle")
+        b = np.maximum(m - F_low, 0.0)
+        j = int((b * b * inv_curv[i]).argmax())
+        a_i, a_j = alphas[i], alphas[j]
+        cap_i = C - a_i if pos[i] else a_i
+        cap_j = a_j if pos[j] else C - a_j
+        t = min(b[j] * inv_curv[i, j], cap_i, cap_j)
+        alphas[i] = (C if pos[i] else 0.0) if t == cap_i else a_i + y[i] * t
+        alphas[j] = (0.0 if pos[j] else C) if t == cap_j else a_j - y[j] * t
+        reached_c = reached_c or alphas[i] >= C or alphas[j] >= C
+        F -= t * (K[i] - K[j])
+        for k in (i, j):
+            up[k] = alphas[k] < C if pos[k] else alphas[k] > 0.0
+            low[k] = alphas[k] > 0.0 if pos[k] else alphas[k] < C
+        iters += 1
+    free = (alphas > 0.0) & (alphas < C)
+    bias = float(F[free].mean()) if free.any() else 0.5 * float(m + M)
+    return svm.SmoResult(alphas, bias, iters, reached_c)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
 @st.composite
 def svm_problems(draw):
     """(K, y, C) for 4-40 samples in 1-4 dimensions, both labels present."""
@@ -147,6 +202,15 @@ class TestSmo:
         assert np.array_equal(again.alphas, res.alphas)
         assert again.bias == res.bias
 
+    @given(svm_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_reference_pair_step(self, problem):
+        K, y, C = problem
+        res, ref = smo_solve(K, y, C), reference_smo_solve(K, y, C)
+        assert bits(res.alphas) == bits(ref.alphas)
+        assert bits(res.bias) == bits(ref.bias)
+        assert res.updates == ref.updates and res.reached_c == ref.reached_c
+
     def test_no_convergence_raises(self, rng):
         X, labels = blobs(rng, 25, [(-0.1, 0.0), (0.1, 0.0)], sd=2.0)
         y = np.where(labels == 0, -1.0, 1.0)
@@ -183,15 +247,6 @@ class TestBinaryTraining:
         m = train_svm_binary(X, y, Kernel("linear"), C=100.0)
         assert len(m.support_vectors) == 2
 
-    def test_json_round_trip(self, rng):
-        X, labels = blobs(rng, 10, [(-1.5, 0.5), (1.5, -0.5)])
-        y = np.where(labels == 0, -1.0, 1.0)
-        m = train_svm_binary(X, y, Kernel("rbf", gamma=0.5), C=2.0)
-        back = SvmModel.from_json(m.to_json())
-        assert np.allclose(back.decision_function(X), m.decision_function(X))
-        assert back.kernel == m.kernel
-        assert back.C == m.C
-
 
 class TestOneVsAll:
     def test_three_separated_blobs(self, rng):
@@ -227,7 +282,8 @@ class TestOneVsAll:
     @settings(max_examples=100, deadline=None)
     def test_grid_solves_are_bit_identical_to_fresh_ones(self, problem):
         # every solve behind a grid model, reused along C or not, equals an
-        # independent solve at the model's C
+        # independent solve at the model's C; two classes are solved for
+        # the higher one only, and the lower one's model is its negation
         X, classes, kernel, c_grid = problem
         real, used = svm._binary_model, []
 
@@ -237,20 +293,48 @@ class TestOneVsAll:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(svm, "_binary_model", record)
-            grid, _ = train_ova(X, classes, kernel, c_grid)
-        n_values = len(np.unique(classes))
-        assert len(used) == len(c_grid) * n_values
+            grid, tally = train_ova(X, classes, kernel, c_grid)
+        values = np.unique(classes)
+        two = len(values) == 2
+        solved = values[1:] if two else values
+        assert len(used) == len(c_grid) * len(solved)
+        assert tally["mirrored"] == (len(c_grid) if two else 0)
+        assert tally["solved"] + tally["reused"] == len(used)
         K = kernel.matrix(X, X)
         for index, (y, res, C) in enumerate(used):
+            at, k = divmod(index, len(solved))
+            assert np.array_equal(y, np.where(classes == solved[k], 1.0, -1.0))
             fresh = smo_solve(K, y, C)
             assert np.array_equal(res.alphas, fresh.alphas)
-            assert res.bias == fresh.bias and res.passes == fresh.passes
-            model = grid[index // n_values].models[index % n_values]
+            assert res.bias == fresh.bias and res.updates == fresh.updates
+            models = grid[at].models
+            model = models[k + 1 if two else k]
             ref = train_svm_binary(X, y, kernel, C=C)
-            assert C == c_grid[index // n_values] and model.C == C
+            assert C == c_grid[at] and model.C == C
             assert np.array_equal(model.duals, ref.duals)
             assert np.array_equal(model.support_vectors, ref.support_vectors)
             assert model.bias == ref.bias
+            if two:
+                lower = models[0]
+                assert bits(lower.duals) == bits(-model.duals)
+                assert bits(lower.bias) == bits(-model.bias)
+                assert lower.support_vectors is model.support_vectors
+                assert lower.C == C
+
+    @given(ova_grids().filter(lambda p: len(np.unique(p[1])) == 2),
+           hnp.arrays(np.float64, (5, 4), elements=st.floats(-5.0, 5.0)))
+    @settings(max_examples=50, deadline=None)
+    def test_two_class_columns_are_exact_negatives(self, problem, rows):
+        X, classes, kernel, c_grid = problem
+        grid, _ = train_ova(X, classes, kernel, c_grid)
+        for X_new in (X, rows[:, :X.shape[1]]):
+            for model in grid:
+                dec = model.decision_matrix(X_new)
+                # equal as values; a zero may differ in sign
+                assert np.array_equal(dec[:, 0], -dec[:, 1])
+                # the margin of the higher class over the lower is exactly
+                # twice its decision value, so both rank rows alike
+                assert np.array_equal(dec[:, 1] - dec[:, 0], 2.0 * dec[:, 1])
 
     def test_separable_grid_reuses_solves(self, rng):
         X, y = blobs(rng, 10, [(0.0, 6.0), (-6.0, -4.0), (6.0, -4.0)])
