@@ -20,7 +20,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -229,6 +229,9 @@ def cmd_train_eval(args) -> int:
         "n_runs": n_runs, "train": asdict(cfg),
         "tables": [str(p) for p in args.features]})
     summaries, reports = [], {}
+    # every run's seed and settings are the grid's, so equal rows give equal
+    # summaries: the shape table repeats its rows under every modality
+    trained = {}
     for table_path in args.features:
         meta, X, kind = read_feature_table(table_path)
         by_modality = {}
@@ -238,11 +241,17 @@ def cmd_train_eval(args) -> int:
             idx = sorted(idx, key=lambda i: meta[i]["subject_id"])
             Xm = X[idx]
             grades = np.array([meta[i]["grade"] for i in idx])
+            rows = (kind, Xm.shape, Xm.tobytes(), grades.tobytes())
             for classifier in classifiers:
                 for experiment in experiments:
-                    s = run_experiment(Xm, grades, experiment, classifier,
-                                       cfg, n_runs=n_runs, seed0=args.seed,
-                                       kind=kind, modality=modality)
+                    key = (rows, classifier, experiment)
+                    if key in trained:
+                        s = replace(trained[key], modality=modality)
+                    else:
+                        s = trained[key] = run_experiment(
+                            Xm, grades, experiment, classifier, cfg,
+                            n_runs=n_runs, seed0=args.seed, kind=kind,
+                            modality=modality)
                     summaries.append(s)
                     report = {
                         "experiment": s.experiment, "classifier": s.classifier,

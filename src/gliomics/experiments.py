@@ -77,14 +77,13 @@ def run_once(X: np.ndarray, grades: np.ndarray, classifier: str,
 
     if classifier == "ann":
         model = train_mlp(X_tr, y_tr, X_va, y_va, cfg, seed)
-        pred = model.predict(X_te)
         scores = model.forward(X_te)
     else:
         kernel_name = "linear" if classifier == "svm-linear" else "rbf"
         _, _, model = select_svm_hyperparams(X_tr, y_tr, X_va, y_va,
                                              kernel_name, cfg)
-        pred = model.predict(X_te)
         scores = model.decision_matrix(X_te)
+    pred = model.predict_from(scores)
 
     accuracy = float(np.mean(pred == y_te))
     if len(classes) == 2:

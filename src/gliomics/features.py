@@ -183,17 +183,16 @@ def connected_components(mask: np.ndarray) -> list:
     return [labeled == i for i in order]
 
 
-def _convex_hull(points: np.ndarray) -> np.ndarray:
+def _convex_hull(pts: np.ndarray) -> np.ndarray:
     """Monotone-chain hull of 2D points, counter-clockwise, no duplicates.
 
-    A point strictly between two others of its row lies on the segment
-    joining them, so it is no hull vertex: the chain runs over the first and
-    last point of each row alone.
+    ``pts`` must be distinct and sorted by (i, j), as ``np.argwhere``
+    returns them.  A point strictly between two others of its row lies on
+    the segment joining them, so it is no hull vertex: the chain runs over
+    the first and last point of each row alone.
     """
-    pts = np.unique(points, axis=0)
     if len(pts) <= 2:
         return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     new_row = pts[1:, 0] != pts[:-1, 0]
     pts = pts[np.r_[True, new_row] | np.r_[new_row, True]]
 
@@ -215,7 +214,8 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
 
 
 def _hull_pixel_count(ij: np.ndarray) -> int:
-    """Number of integer lattice points inside or on the hull of ``ij``.
+    """Number of integer lattice points inside or on the hull of ``ij``,
+    distinct points sorted by (i, j).
 
     Each row's points form one interval of j, bounded below by the hull
     edges that run towards larger i and above by those that run back.
@@ -224,7 +224,7 @@ def _hull_pixel_count(ij: np.ndarray) -> int:
     if len(hull) <= 2:
         # degenerate (point or segment): the hull covers exactly the
         # region's own pixels
-        return len(np.unique(ij, axis=0))
+        return len(ij)
     d = np.roll(hull, -1, axis=0) - hull
     rows = np.arange(hull[:, 0].min(), hull[:, 0].max() + 1)[:, None]
     # d_i * (j - a_j) >= num on every edge a -> a + d

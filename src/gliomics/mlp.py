@@ -4,10 +4,19 @@ full-batch Polak-Ribiere conjugate gradient on the cross-entropy loss.
 The loss is the mean cross-entropy in nats.  Training keeps the parameter
 vector flat so the optimizer and the finite-difference gradient check share
 one code path.
+
+A training step is a handful of small matrix products on a few dozen rows,
+so its cost is mostly per-call numpy overhead.  The step therefore works in
+place: activations and probabilities overwrite their own buffers, the
+gradient is written straight into views of one flat vector, and the
+conjugate-gradient direction is updated where it lies.  Each in-place form
+computes the same floats, in the same order, as the plain expression it
+replaces (``tests/test_mlp.py`` keeps that plain form as the reference).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +45,11 @@ class MlpModel:
         return _forward(X, self.w1, self.b1, self.w2, self.b2)[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.argmax(self.forward(X), axis=1)
-        return np.asarray(self.classes)[idx]
+        return self.predict_from(self.forward(X))
+
+    def predict_from(self, probs: np.ndarray) -> np.ndarray:
+        """Class of each row of ``forward``'s probabilities."""
+        return np.asarray(self.classes)[np.argmax(probs, axis=1)]
 
     def params(self) -> np.ndarray:
         return _pack(self.w1, self.b1, self.w2, self.b2)
@@ -51,11 +63,15 @@ class MlpModel:
 
 def _forward(X, w1, b1, w2, b2):
     """Hidden activations and class probabilities of the network."""
-    z = np.tanh(X @ w1 + b1)
-    logits = z @ w2 + b2
-    logits = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return z, e / e.sum(axis=1, keepdims=True)
+    z = X @ w1
+    z += b1
+    np.tanh(z, out=z)
+    probs = z @ w2
+    probs += b2
+    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    return z, probs
 
 
 def _pack(w1, b1, w2, b2) -> np.ndarray:
@@ -85,9 +101,12 @@ def init_params(d: int, k: int, seed: int) -> np.ndarray:
 
 def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
     """Mean cross-entropy in nats between predicted rows and one-hot targets."""
-    p = np.clip(probs, 1e-300, None)
-    per_sample = -np.sum(onehot * np.log(p), axis=1)
-    return float(per_sample.mean())
+    p = np.maximum(probs, 1e-300)
+    np.log(p, out=p)
+    p *= onehot
+    per_sample = np.add.reduce(p, axis=1)
+    np.negative(per_sample, out=per_sample)   # per row: a zero keeps its sign
+    return float(np.add.reduce(per_sample) / len(per_sample))
 
 
 def loss_and_grad(theta: np.ndarray, X: np.ndarray, onehot: np.ndarray,
@@ -96,13 +115,20 @@ def loss_and_grad(theta: np.ndarray, X: np.ndarray, onehot: np.ndarray,
     w1, b1, w2, b2 = _unpack(theta, d, h, k)
     z, probs = _forward(X, w1, b1, w2, b2)
     loss = cross_entropy(probs, onehot)
-    g_logits = (probs - onehot) / len(X)
-    g_w2 = z.T @ g_logits
-    g_b2 = g_logits.sum(axis=0)
-    g_hidden = (g_logits @ w2.T) * (1.0 - z * z)
-    g_w1 = X.T @ g_hidden
-    g_b1 = g_hidden.sum(axis=0)
-    return loss, _pack(g_w1, g_b1, g_w2, g_b2)
+    grad = np.empty_like(theta)
+    g_w1, g_b1, g_w2, g_b2 = _unpack(grad, d, h, k)
+    g_logits = probs                  # probs are not needed past the loss
+    g_logits -= onehot
+    g_logits /= len(X)
+    np.matmul(z.T, g_logits, out=g_w2)
+    np.add.reduce(g_logits, axis=0, out=g_b2)
+    g_hidden = g_logits @ w2.T
+    z *= z
+    np.subtract(1.0, z, out=z)        # tanh' = 1 - z**2
+    g_hidden *= z
+    np.matmul(X.T, g_hidden, out=g_w1)
+    np.add.reduce(g_hidden, axis=0, out=g_b1)
+    return loss, grad
 
 
 def _onehot(labels: np.ndarray, classes) -> np.ndarray:
@@ -158,9 +184,11 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
         t = min(2.0 * step, 10.0)
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            cand = theta + t * direction
+            cand = t * direction
+            cand += theta
             new_loss, new_grad = loss_and_grad(cand, X, Y, d, h, k)
-            if np.isfinite(new_loss) and new_loss <= loss + ARMIJO_C1 * t * slope:
+            if (math.isfinite(new_loss)
+                    and new_loss <= loss + ARMIJO_C1 * t * slope):
                 accepted = True
                 break
             t *= 0.5
@@ -171,7 +199,11 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
                    / max(float(grad @ grad), 1e-300))
         theta, loss = cand, new_loss
         grad = new_grad
-        direction = -grad if it % restart == 0 else -grad + beta * direction
+        if it % restart == 0:
+            direction = -grad
+        else:                     # -grad + beta * direction, in place
+            direction *= beta
+            direction -= grad
         history["train_loss"].append(loss)
 
         if it % VAL_CHECK_INTERVAL == 0:

@@ -211,7 +211,10 @@ class OvaSvm:
         return np.column_stack([m.decision_function(X) for m in self.models])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        dec = self.decision_matrix(X)
+        return self.predict_from(self.decision_matrix(X))
+
+    def predict_from(self, dec: np.ndarray) -> np.ndarray:
+        """Class of each row of a ``decision_matrix``."""
         out = np.empty(len(dec), dtype=np.int64)
         for i, row in enumerate(dec):
             # ties fall to the more prevalent training class, then the

@@ -28,7 +28,7 @@ import pytest
 import gliomics
 from gliomics import cli, features
 from gliomics.cli import build_parser, main
-from gliomics.experiments import write_feature_table
+from gliomics.experiments import run_experiment, write_feature_table
 from gliomics.nifti import VOX_OFFSET, read_nifti
 from gliomics.registration import EsConfig, MiConfig
 
@@ -334,6 +334,54 @@ class TestTrainEvalCommand:
         payload = json.loads((out / reports[0]).read_text())
         assert len(payload["per_run"]) == 2
         assert payload["provenance"]["tool_version"] == gliomics.__version__
+
+    def test_identical_modality_rows_are_trained_once(self, tmp_path,
+                                                       monkeypatch):
+        rng = np.random.default_rng(6)
+        values = {(g, i): rng.normal(3.0 * g, 1.0, size=14)
+                  for g in (2, 3, 4) for i in range(5)}
+        prov = {"tool_version": "0", "seed": 0, "config_digest": "0" * 16}
+
+        def table(modalities):
+            rows = [(f"s{g}{i}", m, g, v) for m in modalities
+                    for (g, i), v in values.items()]
+            return write_feature_table(tmp_path / "features_v1.csv", rows,
+                                       "v1", prov)
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args[3], args[2], kwargs["modality"]))
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", counting)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classifiers": ["svm-linear", "ann"],
+                                   "experiments": ["II-IV", "all"],
+                                   "train": {"max_iters": 10}}))
+        argv = ["train-eval", str(table(("t2", "t1_pre", "t1_post"))),
+                "--runs", "2", "--config", str(cfg)]
+        assert main([*argv, "--out", str(tmp_path / "grid")]) == 0
+        # modalities run in sorted order, so t1_post trains and the others
+        # reuse its summaries
+        assert sorted(calls) == [(c, e, "t1_post")
+                                 for c in ("ann", "svm-linear")
+                                 for e in ("II-IV", "all")]
+        reports = {p.name: json.loads(p.read_text())
+                   for p in (tmp_path / "grid").glob("report_*.json")}
+        assert len(reports) == 3 * 4
+        for name, report in reports.items():
+            first = reports[name.replace(f"_{report['modality']}_",
+                                         "_t1_post_")]
+            assert {**report, "modality": "t1_post"} == first
+        # a reused report is byte-equal to one trained afresh from a table
+        # at the same path, so that the provenance matches too
+        table(("t2",))
+        assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+        assert len(calls) == 4 + 4
+        for fresh in (tmp_path / "fresh").glob("report_*.json"):
+            assert fresh.read_bytes() == \
+                (tmp_path / "grid" / fresh.name).read_bytes()
 
     def test_unknown_classifier_in_config(self, feature_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

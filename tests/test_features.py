@@ -453,7 +453,11 @@ class TestShapeAgainstReference:
     @example([(5, 5)])
     @settings(max_examples=300, deadline=None)
     def test_hull_matches_chain_over_all_points(self, points):
-        ij = np.array(points)
+        # the pixel list of a mask, as _measure_slice passes it: argwhere
+        # output (distinct, (i, j) order) shifted by the crop offset
+        mask = np.zeros((10, 10), dtype=bool)
+        mask[tuple((np.array(points) + 3).T)] = True
+        ij = np.argwhere(mask) - 3
         assert np.array_equal(_convex_hull(ij), reference_hull(ij))
         assert _hull_pixel_count(ij) == reference_hull_pixel_count(ij)
 

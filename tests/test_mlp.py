@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gliomics.classify import TrainConfig
 from gliomics.errors import SingleClass
-from gliomics.mlp import (HIDDEN_UNITS, MlpModel, cross_entropy, init_params,
-                          loss_and_grad, mlp_gradient_check, train_mlp)
+from gliomics.mlp import (ARMIJO_C1, HIDDEN_UNITS, MAX_BACKTRACKS,
+                          VAL_CHECK_INTERVAL, MlpModel, _onehot, _pack,
+                          _unpack, cross_entropy, init_params, loss_and_grad,
+                          mlp_gradient_check, train_mlp)
 
 
 def blobs(rng, n_per_class, centers, sd=0.5):
@@ -124,3 +128,151 @@ class TestTraining:
         cfg = TrainConfig(max_iters=7, validation_patience=100)
         _, hist = train_mlp(X, y, X, y, cfg=cfg, return_history=True)
         assert len(hist["train_loss"]) <= 8   # initial loss + 7 iterations
+
+
+# Reference copy of the plain-expression network and its conjugate-gradient
+# loop.  The module computes the same floats in place; these must agree with
+# it byte for byte.
+
+def reference_forward(X, w1, b1, w2, b2):
+    z = np.tanh(X @ w1 + b1)
+    logits = z @ w2 + b2
+    logits = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return z, e / e.sum(axis=1, keepdims=True)
+
+
+def reference_cross_entropy(probs, onehot):
+    p = np.clip(probs, 1e-300, None)
+    per_sample = -np.sum(onehot * np.log(p), axis=1)
+    return float(per_sample.mean())
+
+
+def reference_loss_and_grad(theta, X, onehot, d, h, k):
+    w1, b1, w2, b2 = _unpack(theta, d, h, k)
+    z, probs = reference_forward(X, w1, b1, w2, b2)
+    loss = reference_cross_entropy(probs, onehot)
+    g_logits = (probs - onehot) / len(X)
+    g_w2 = z.T @ g_logits
+    g_b2 = g_logits.sum(axis=0)
+    g_hidden = (g_logits @ w2.T) * (1.0 - z * z)
+    g_w1 = X.T @ g_hidden
+    g_b1 = g_hidden.sum(axis=0)
+    return loss, _pack(g_w1, g_b1, g_w2, g_b2)
+
+
+def reference_train_mlp(X, labels, X_val, labels_val, cfg, seed):
+    classes = tuple(sorted(np.unique(labels).tolist()))
+    Y, Y_val = _onehot(labels, classes), _onehot(labels_val, classes)
+    d, k, h = X.shape[1], len(classes), HIDDEN_UNITS
+    theta = init_params(d, k, seed)
+    restart = cfg.cg_restart_interval or theta.size
+    loss, grad = reference_loss_and_grad(theta, X, Y, d, h, k)
+    direction = -grad
+    step = 1.0
+    history = {"train_loss": [loss], "val_loss": []}
+
+    def val_loss(t):
+        return reference_cross_entropy(
+            reference_forward(X_val, *_unpack(t, d, h, k))[1], Y_val)
+
+    best_val = val_loss(theta)
+    best_theta = theta.copy()
+    history["val_loss"].append(best_val)
+    stale_checks = 0
+    for it in range(1, cfg.max_iters + 1):
+        slope = float(grad @ direction)
+        if slope >= 0.0:
+            direction = -grad
+            slope = float(grad @ direction)
+            if slope >= 0.0:
+                break
+        t = min(2.0 * step, 10.0)
+        accepted = False
+        for _ in range(MAX_BACKTRACKS):
+            cand = theta + t * direction
+            new_loss, new_grad = reference_loss_and_grad(cand, X, Y, d, h, k)
+            if np.isfinite(new_loss) and \
+                    new_loss <= loss + ARMIJO_C1 * t * slope:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+        step = t
+        beta = max(0.0, float(new_grad @ (new_grad - grad))
+                   / max(float(grad @ grad), 1e-300))
+        theta, loss = cand, new_loss
+        grad = new_grad
+        direction = -grad if it % restart == 0 else -grad + beta * direction
+        history["train_loss"].append(loss)
+        if it % VAL_CHECK_INTERVAL == 0:
+            vl = val_loss(theta)
+            history["val_loss"].append(vl)
+            if vl < best_val - 1e-12:
+                best_val, best_theta = vl, theta.copy()
+                stale_checks = 0
+            else:
+                stale_checks += 1
+                if stale_checks >= cfg.validation_patience:
+                    break
+    if val_loss(theta) < best_val:
+        best_theta = theta.copy()
+    return best_theta, history
+
+
+def same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def problems(draw, max_n=60, max_d=70):
+    """A labelled problem of n rows, d features and k classes, every class
+    present, plus a validation set; features span tiny to saturating."""
+    n = draw(st.integers(4, max_n))
+    d = draw(st.integers(1, max_d))
+    k = draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((0.01, 1.0, 30.0)))
+    X = rng.normal(0.0, scale, size=(n, d))
+    labels = rng.integers(k, size=n)
+    labels[:k] = np.arange(k)
+    n_val = draw(st.integers(1, 12))
+    X_val = rng.normal(0.0, scale, size=(n_val, d))
+    labels_val = rng.integers(k, size=n_val)
+    return X, labels, X_val, labels_val
+
+
+class TestAgainstReference:
+    @given(problems(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_loss_and_gradient_are_byte_equal(self, problem, seed):
+        X, labels, _, _ = problem
+        d, k = X.shape[1], int(labels.max()) + 1
+        Y = _onehot(labels, tuple(range(k)))
+        theta = init_params(d, k, seed)
+        loss, grad = loss_and_grad(theta, X, Y, d, HIDDEN_UNITS, k)
+        ref_loss, ref_grad = reference_loss_and_grad(theta, X, Y, d,
+                                                     HIDDEN_UNITS, k)
+        assert same_bytes(loss, ref_loss)
+        assert same_bytes(grad, ref_grad)
+        w1, b1, w2, b2 = _unpack(theta, d, HIDDEN_UNITS, k)
+        probs = MlpModel(w1, b1, w2, b2, tuple(range(k))).forward(X)
+        assert same_bytes(probs, reference_forward(X, w1, b1, w2, b2)[1])
+        assert same_bytes(cross_entropy(probs, Y),
+                          reference_cross_entropy(probs, Y))
+
+    @given(problems(max_n=40, max_d=40), st.integers(0, 2**32 - 1),
+           st.sampled_from((None, 1, 3, 7)), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_training_is_byte_equal(self, problem, seed, restart, patience):
+        X, labels, X_val, labels_val = problem
+        cfg = TrainConfig(max_iters=200, cg_restart_interval=restart,
+                          validation_patience=patience)
+        model, hist = train_mlp(X, labels, X_val, labels_val, cfg, seed,
+                                return_history=True)
+        ref_theta, ref_hist = reference_train_mlp(X, labels, X_val,
+                                                  labels_val, cfg, seed)
+        assert same_bytes(model.params(), ref_theta)
+        assert same_bytes(hist["train_loss"], ref_hist["train_loss"])
+        assert same_bytes(hist["val_loss"], ref_hist["val_loss"])
