@@ -103,9 +103,9 @@ def select_svm_hyperparams(X_tr, y_tr, X_val, y_val, kernel_name: str,
             acc = float(np.mean(model.predict(X_val) == np.asarray(y_val)))
             if best is None or acc > best[0]:
                 best = (acc, kern, C, model)
-    log.debug("svm grid %s: solved %d, reused %d, mirrored %d, pair updates "
-              "%d; chose gamma %s, C %g", kernel_name, tally["solved"],
-              tally["reused"], tally["mirrored"], tally["updates"],
+    log.debug("svm grid %s: solved %d, reused %d, pair updates %d; chose "
+              "gamma %s, C %g", kernel_name, tally["solved"], tally["reused"],
+              tally["updates"],
               "-" if best[1].gamma is None else f"{best[1].gamma:.4g}",
               best[2])
     return best[1], best[2], best[3]

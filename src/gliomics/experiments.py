@@ -73,7 +73,6 @@ def run_once(X: np.ndarray, grades: np.ndarray, classifier: str,
     std = fit_standardizer(X[tr])
     X_tr, X_va, X_te = std.apply(X[tr]), std.apply(X[va]), std.apply(X[te])
     y_tr, y_va, y_te = grades[tr], grades[va], grades[te]
-    classes = sorted(np.unique(y_tr).tolist())
 
     if classifier == "ann":
         model = train_mlp(X_tr, y_tr, X_va, y_va, cfg, seed)
@@ -84,11 +83,12 @@ def run_once(X: np.ndarray, grades: np.ndarray, classifier: str,
                                              kernel_name, cfg)
         scores = model.decision_matrix(X_te)
     pred = model.predict_from(scores)
+    classes = model.classes
 
     accuracy = float(np.mean(pred == y_te))
     if len(classes) == 2:
         # ranked by the higher grade's column: the SVM's two columns are
-        # exact negatives, and that is the one its solver fitted
+        # exact negatives, and that is the one its model holds
         y_bin = (y_te == classes[1]).astype(int)
         if y_bin.min() == y_bin.max():
             auc = float("nan")

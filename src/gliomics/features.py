@@ -217,8 +217,8 @@ def _hull_pixel_count(ij: np.ndarray) -> int:
     """Number of integer lattice points inside or on the hull of ``ij``,
     distinct points sorted by (i, j).
 
-    Each row's points form one interval of j, bounded below by the hull
-    edges that run towards larger i and above by those that run back.
+    Pick's theorem, ``area = interior + boundary / 2 - 1``, with the
+    shoelace area and ``gcd(|di|, |dj|)`` lattice points per hull edge.
     """
     hull = _convex_hull(ij)
     if len(hull) <= 2:
@@ -226,13 +226,9 @@ def _hull_pixel_count(ij: np.ndarray) -> int:
         # region's own pixels
         return len(ij)
     d = np.roll(hull, -1, axis=0) - hull
-    rows = np.arange(hull[:, 0].min(), hull[:, 0].max() + 1)[:, None]
-    # d_i * (j - a_j) >= num on every edge a -> a + d
-    num = d[:, 1] * (rows - hull[:, 0])
-    fwd, back = d[:, 0] > 0, d[:, 0] < 0
-    lo = (hull[fwd, 1] - (-num[:, fwd] // d[fwd, 0])).max(axis=1)
-    hi = (hull[back, 1] + num[:, back] // d[back, 0]).min(axis=1)
-    return int(np.maximum(hi - lo + 1, 0).sum())
+    area2 = abs(int(np.sum(hull[:, 0] * d[:, 1] - hull[:, 1] * d[:, 0])))
+    boundary = int(np.gcd(d[:, 0], d[:, 1]).sum())
+    return (area2 + boundary) // 2 + 1
 
 
 def _boundary_perimeter(slice_mask: np.ndarray, sx: float, sy: float) -> float:
@@ -310,9 +306,10 @@ def shape_block(lm: LabelMap) -> FeatureVector:
     """Four shape descriptors per label, area-weighted over components.
 
     Weights are the measured slice areas; a label with no voxels contributes
-    four zeros, mirroring the intensity vectors' zeros rule.  Each label is
-    split into components inside its bounding box only: C order within the
-    box is the full grid's order, so components come out in the same order.
+    four zeros, as it contributes zeros to the intensity vectors.  Each
+    label is split into components inside its bounding box only: C order
+    within the box is the full grid's order, so components come out in the
+    same order.
     """
     boxes = ndimage.find_objects(lm.data, max_label=max(TUMOR_LABELS))
     out = []

@@ -104,7 +104,6 @@ class PhantomSubject:
     grade: int
     volumes: dict        # modality -> Volume
     labelmap: LabelMap
-    spec: PhantomSpec
 
 
 @dataclass(frozen=True)
@@ -113,9 +112,6 @@ class Cohort:
 
     def __len__(self):
         return len(self.subjects)
-
-    def grades(self) -> np.ndarray:
-        return np.array([s.grade for s in self.subjects])
 
 
 def _ellipsoid_radius(dims, center_idx, semi_axes) -> np.ndarray:
@@ -175,7 +171,7 @@ def _assign_labels(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
         labels[remaining[pick]] = lab
         taken[pick] = True
     labels[remaining[~taken]] = 1  # edema fills the outer remainder
-    return labels.reshape(dims), r
+    return labels.reshape(dims)
 
 
 def _synth_modality(labels: np.ndarray, table: dict, weight: float,
@@ -203,7 +199,7 @@ def generate_phantom(spec: PhantomSpec):
     sorted ellipsoidal-radius order.
     """
     rng = np.random.default_rng(spec.seed)
-    labels, _ = _assign_labels(spec, rng)
+    labels = _assign_labels(spec, rng)
     affine = np.diag([*SPACING, 1.0])
     lm = LabelMap(labels, SPACING, affine)
     vols = {}
@@ -249,7 +245,7 @@ def generate_cohort(n_per_grade=(18, 14, 25), base_seed: int = 0,
                                heterogeneity=het,
                                seed=int(rng.integers(2 ** 31)))
             vols, lm = generate_phantom(spec)
-            subjects.append(PhantomSubject(f"g{grade}_{i:03d}", grade, vols, lm, spec))
+            subjects.append(PhantomSubject(f"g{grade}_{i:03d}", grade, vols, lm))
     return Cohort(tuple(subjects))
 
 

@@ -284,14 +284,12 @@ def _smoothed(vol: Volume) -> Volume:
 
 
 def register_rigid(fixed: Volume, moving: Volume, mi: MiConfig = MiConfig(),
-                   es: EsConfig = EsConfig(), initial: RigidTransform | None = None,
-                   return_trace: bool = False):
+                   es: EsConfig = EsConfig(), return_trace: bool = False):
     """Fit the rigid transform maximizing MI with a (1+1) evolutionary strategy.
 
-    Starting from ``initial`` (identity by default), each iteration mutates
-    the six parameters by an isotropic Gaussian of the current radius,
-    keeps the candidate only if MI improves, and grows/shrinks the radius on
-    success/failure.
+    Starting from the identity, each iteration mutates the six parameters
+    by an isotropic Gaussian of the current radius, keeps the candidate only
+    if MI improves, and grows/shrinks the radius on success/failure.
 
     MI is sampled at the fixed voxel centres, each moved by one seeded
     U(-1/2, 1/2) voxel jitter per axis that holds for the whole search; on
@@ -316,7 +314,7 @@ def register_rigid(fixed: Volume, moving: Volume, mi: MiConfig = MiConfig(),
     index = np.clip(index + rng.uniform(-0.5, 0.5, size=index.shape),
                     0.0, upper)
     fine = _MiEvaluator(fixed, moving, index)
-    start = initial if initial is not None else RigidTransform.identity(center)
+    start = RigidTransform.identity(center)
 
     def evaluate(ev, p):
         return ev.evaluate(RigidTransform.from_params(p, center).matrix())

@@ -27,10 +27,6 @@ class DunnResult:
     z: tuple
     p_adjusted: tuple     # two-sided, Bonferroni-multiplied, capped at 1
 
-    def table(self) -> dict:
-        return {pair: (zz, pp)
-                for pair, zz, pp in zip(self.pairs, self.z, self.p_adjusted)}
-
 
 def chi2_sf(x: float, df: int) -> float:
     """Upper tail of the chi-square distribution, Q(df/2, x/2)."""
@@ -42,18 +38,20 @@ def chi2_sf(x: float, df: int) -> float:
 
 
 def midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..N with tied observations sharing the average rank."""
+    """Ranks 1..N with tied observations sharing the average rank.
+
+    A run of equal sorted values at positions ``i..j`` (0-based) gets rank
+    ``(i + j) / 2 + 1``.
+    """
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
     s = values[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    new_run = np.ones(len(s), dtype=bool)
+    new_run[1:] = s[1:] != s[:-1]
+    bounds = np.append(np.flatnonzero(new_run), len(s))  # run starts, then N
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] - 1) + 1.0,
+                             np.diff(bounds))
     return ranks
 
 

@@ -25,16 +25,17 @@ grid on one kernel matrix and solves each distinct dual once.
 step.  If none did, no C-type cap ever bound, so every clipped step, every
 ``t == cap`` test and every ``I_up``/``I_low`` membership is the same at
 any C' >= C: a fresh solve at C' makes the same updates and returns
-bit-identical alphas, bias and passes.  That solve is reused for the later
-grid values; only the model's ``C`` differs.  An unsorted grid compares
-against the last C actually solved.
+bit-identical alphas, bias and passes.  That solve's model is reused for
+the later grid values.  An unsorted grid compares against the last C
+actually solved.
 
 A two-class problem is solved once, with the higher class as +1 (the
-LIBSVM convention; Chang & Lin, ACM TIST 2011), and the lower class's
-model is that model with its duals and bias negated, so the two decision
-columns are exact negatives.  Solving the lower class instead would not
-give the same model: the working-set choice is not symmetric under ``y ->
--y``, so the two solves stop at different points within ``tol``.
+LIBSVM convention; Chang & Lin, ACM TIST 2011), and stored as that one
+model: ``OvaSvm.decision_matrix`` scores the lower class as the negated
+decision value, so the two columns are exact negatives.  Solving the lower
+class instead would not give the same model: the working-set choice is not
+symmetric under ``y -> -y``, so the two solves stop at different points
+within ``tol``.
 """
 
 from __future__ import annotations
@@ -171,7 +172,6 @@ class SvmModel:
     support_vectors: np.ndarray   # (m, d) standardized feature rows
     duals: np.ndarray             # alpha_i * y_i per support vector
     bias: float
-    C: float
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -192,22 +192,25 @@ def train_svm_binary(X: np.ndarray, y: np.ndarray, kernel: Kernel,
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise SingleClass("binary training needs both -1 and +1 labels")
     res = smo_solve(kernel.matrix(X, X), y, C, tol=tol, max_passes=max_passes)
-    return _binary_model(kernel, X, y, res, C)
+    return _binary_model(kernel, X, y, res)
 
 
-def _binary_model(kernel, X, y, res: SmoResult, C: float) -> SvmModel:
+def _binary_model(kernel, X, y, res: SmoResult) -> SvmModel:
     keep = res.alphas > 1e-10
-    return SvmModel(kernel, X[keep].copy(), (res.alphas * y)[keep],
-                    res.bias, C)
+    return SvmModel(kernel, X[keep].copy(), (res.alphas * y)[keep], res.bias)
 
 
 @dataclass(frozen=True)
 class OvaSvm:
     classes: tuple                # sorted class values (grades)
-    models: tuple                 # SvmModel per class, same order
+    models: tuple                 # SvmModel per class, same order; with two
+                                  # classes only the higher one's
     prevalence: tuple             # training count per class, same order
 
     def decision_matrix(self, X: np.ndarray) -> np.ndarray:
+        if len(self.classes) == 2:
+            f = self.models[0].decision_function(X)
+            return np.column_stack([-f, f])
         return np.column_stack([m.decision_function(X) for m in self.models])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -231,10 +234,10 @@ def train_ova(X: np.ndarray, classes: np.ndarray, kernel: Kernel,
     value in grid order.
 
     All fits share one kernel matrix.  A class's solve is reused at a later
-    C when no alpha reached the C it was solved at and the later C is not
-    smaller.  With two classes only the higher one is solved, and the lower
-    one's model is its exact negation.  Returns ``(grid, tally)``: the list
-    of OvaSvm and a Counter of ``solved``, ``reused`` and ``mirrored``
+    C, as the same SvmModel, when no alpha reached the C it was solved at
+    and the later C is not smaller.  With two classes only the higher one
+    is solved, and each OvaSvm holds that one model.  Returns ``(grid,
+    tally)``: the list of OvaSvm and a Counter of ``solved`` and ``reused``
     models and the solves' pair ``updates``.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -249,30 +252,22 @@ def train_ova(X: np.ndarray, classes: np.ndarray, kernel: Kernel,
             raise SingleClass(f"class {v} has only {n_v} sample(s)")
         counts.append(n_v)
         labels.append(np.where(classes == v, 1.0, -1.0))
-    mirror = len(values) == 2
-    if mirror:
+    if len(values) == 2:
         labels = labels[1:]
     K = kernel.matrix(X, X)
-    last = [None] * len(labels)      # (C, SmoResult) of each class's solve
+    last = [None] * len(labels)   # (C, reached_c, SvmModel) of each solve
     tally = Counter()
     grid = []
     for C in c_grid:
         models = []
         for k, y in enumerate(labels):
-            if last[k] is not None and not last[k][1].reached_c \
-                    and C >= last[k][0]:
-                res = last[k][1]
-                tally["reused"] += 1
-            else:
+            if last[k] is None or last[k][1] or C < last[k][0]:
                 res = smo_solve(K, y, C, tol=tol, max_passes=max_passes)
-                last[k] = (C, res)
+                last[k] = (C, res.reached_c, _binary_model(kernel, X, y, res))
                 tally["solved"] += 1
                 tally["updates"] += res.updates
-            models.append(_binary_model(kernel, X, y, res, C))
-        if mirror:
-            higher = models[0]
-            models.insert(0, SvmModel(kernel, higher.support_vectors,
-                                      -higher.duals, -higher.bias, C))
-            tally["mirrored"] += 1
+            else:
+                tally["reused"] += 1
+            models.append(last[k][2])
         grid.append(OvaSvm(tuple(values), tuple(models), tuple(counts)))
     return grid, tally

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from . import nifti
-from .errors import GeometryMismatch, LabelOutOfRange, ModeMismatch, UnsupportedDatatype
+from .errors import LabelOutOfRange, ModeMismatch, UnsupportedDatatype
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True)
@@ -199,9 +199,3 @@ def resample(src, target: GridGeometry, mode: str | None = None,
     if is_labels:
         return LabelMap(np.rint(out).astype(np.int16), target.spacing, target.affine)
     return Volume(out, target.spacing, target.affine)
-
-
-def require_same_geometry(a, b, what: str = "inputs") -> None:
-    if not a.geometry.matches(b.geometry):
-        raise GeometryMismatch(f"{what} are on different grids: "
-                               f"{a.dims}/{a.spacing} vs {b.dims}/{b.spacing}")

@@ -46,7 +46,3 @@ def volume_ratios(cv: ComponentVolumes) -> VolumeRatios:
     return VolumeRatios(
         {lab: 100.0 * v / cv.total_mm3 for lab, v in cv.volumes_mm3.items()},
         False)
-
-
-def label_ratios(lm: LabelMap, include_edema: bool = True) -> VolumeRatios:
-    return volume_ratios(component_volumes(lm, include_edema))

@@ -8,8 +8,10 @@ two parts and budgets their combined time.
 """
 
 import functools
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from test_evaluate import mann_whitney_auc
 from test_stats import mann_whitney_p
 
 from gliomics.classify import fit_standardizer
+from gliomics.cli import main
 from gliomics.evaluate import roc_auc
 from gliomics.features import (TUMOR_LABELS, ellipse_perimeter, extract_all,
                                region_histogram, shannon_entropy,
@@ -309,3 +312,67 @@ def test_criterion_8b_ann_histogram_separation(capsys):
            f"ANN on t2 histogram features, II vs III best accuracy "
            f"{s.best_accuracy:.2f} (mean {s.mean_accuracy:.2f}) over 100 "
            f"runs; criterion-8 total {total:.0f}s (limit 900s)")
+
+
+def _walkthrough():
+    """The README walkthrough through ``main``, in the working directory
+    and on relative paths as the README writes them (the provenance digest
+    covers the paths).  Returns the wall time of each stage run and the
+    first stage that did not exit 0, or None."""
+    tables = [f"feats/features_{k}.csv" for k in ("v1", "v2", "v3", "shape")]
+    stages = {
+        "phantom": ["phantom", "--out", "cohort/", "--n-per-grade",
+                    "18,14,25"],
+        "features": ["features", "cohort/manifest.csv", "--out", "feats/",
+                     "--kinds", "v1,v2,v3,shape", "--jobs", "2"],
+        "volumetrics": ["volumetrics", "cohort/manifest.csv",
+                        "--out", "volumetrics.csv"],
+        "stats": ["stats", "volumetrics.csv", "--out", "stats/"],
+        "train-eval": ["train-eval", *tables, "--out", "reports/",
+                       "--config", "train.json"],
+        "subtract": ["subtract", "cohort/g2_000_t1_pre.nii.gz",
+                     "cohort/g2_000_t1_post.nii.gz", "--out", "sub/"],
+    }
+    seconds = {}
+    for name, argv in stages.items():
+        t0 = time.perf_counter()
+        if main([*argv, "--seed", "0"]) != 0:
+            return seconds, name
+        seconds[name] = time.perf_counter() - t0
+    return seconds, None
+
+
+def test_criterion_9_readme_walkthrough_end_to_end(capsys, tmp_path,
+                                                   monkeypatch):
+    # the whole study on the default cohort: four tables, all three
+    # classifiers and all four experiments at n_runs 2, so the shape table
+    # is trained at C 100 across the grid; then a rerun in a second
+    # directory must give the same bytes, .nii.gz included
+    t0 = time.perf_counter()
+    runs = []
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        Path("train.json").write_text(json.dumps({"n_runs": 2}))
+        runs.append(_walkthrough())
+    elapsed = time.perf_counter() - t0
+    problems = [f"{side}: {failed} did not exit 0"
+                for side, (_, failed) in zip("ab", runs) if failed]
+    files = {side: sorted(p.relative_to(tmp_path / side)
+                          for p in (tmp_path / side).rglob("*") if p.is_file())
+             for side in ("a", "b")}
+    if files["a"] != files["b"]:
+        problems.append("the two runs wrote different file sets")
+    differ = [str(rel) for rel in files["a"] if rel in files["b"]
+              and (tmp_path / "a" / rel).read_bytes()
+              != (tmp_path / "b" / rel).read_bytes()]
+    if differ:
+        problems.append(f"{len(differ)} files differ, first {differ[0]}")
+    reports = [p for p in files["a"] if p.parent.name == "reports"]
+    if len(reports) != 145:
+        problems.append(f"{len(reports)} train-eval files, want 144 + 1")
+    stages = ", ".join(f"{k} {v:.2f}s" for k, v in runs[0][0].items())
+    report(capsys, 9, not problems,
+           f"README walkthrough on 18/14/25 twice, {len(files['a'])} files "
+           f"each, byte-identical; first run {stages}; both in {elapsed:.1f}s"
+           + (f"; failed: {problems}" if problems else ""))

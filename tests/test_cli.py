@@ -473,14 +473,19 @@ class TestTrainEvalCommand:
         lines = [ln for ln in out.stderr.splitlines() if "svm grid" in ln]
         # one line per SVM run: 2 runs x 4 experiments x 2 kernels
         assert len(lines) == 16
-        for field in ("solved", "reused", "mirrored", "pair updates", "gamma",
-                      "C"):
+        for field in ("solved", "reused", "pair updates", "gamma", "C"):
             assert all(field in ln for ln in lines)
+        assert not any("mirror" in ln for ln in lines)
         assert any(int(re.search(r"reused (\d+)", ln)[1]) > 0 for ln in lines)
-        # kernel by kernel, experiment by experiment (II-IV, III-IV, II-III,
-        # all), two runs each: only the two-class searches mirror a model
-        mirrored = [int(re.search(r"mirrored (\d+)", ln)[1]) for ln in lines]
-        assert [n > 0 for n in mirrored] == [k % 8 < 6 for k in range(16)]
+        models = [int(re.search(r"solved (\d+)", ln)[1])
+                  + int(re.search(r"reused (\d+)", ln)[1]) for ln in lines]
+        # kernel by kernel (4 C values, then 3 gammas x 4 C values),
+        # experiment by experiment (II-IV, III-IV, II-III, all), two runs
+        # each: a two-class search fits one model per grid point, the
+        # three-class one three
+        grid = [4] * 8 + [12] * 8
+        assert models == [n * (1 if k % 8 < 6 else 3)
+                          for k, n in enumerate(grid)]
         quiet = {p.name: p.read_bytes() for p in (tmp_path / "quiet").iterdir()}
         debug = {p.name: p.read_bytes() for p in (tmp_path / "debug").iterdir()}
         assert len(quiet) == 1 + 12 and quiet == debug
@@ -727,6 +732,21 @@ class TestEntryPoint:
 
     def test_no_command_is_usage_error(self):
         _check_usage_error(_run_declared_script())
+
+    def test_import_loads_no_slow_scipy_subpackage(self):
+        # every command pays for this import: scipy.stats alone adds about
+        # a second to it, so the package keeps to scipy.ndimage and
+        # scipy.special
+        code = "import sys, gliomics.cli; print(*sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True,
+                             env=_source_env())
+        assert out.returncode == 0, out.stderr
+        slow = ("scipy.stats", "scipy.spatial", "scipy.optimize",
+                "scipy.linalg")
+        loaded = out.stdout.split()
+        assert "gliomics.cli" in loaded
+        assert [m for m in loaded if ".".join(m.split(".")[:2]) in slow] == []
 
     @pytest.mark.skipif(shutil.which("gliomics") is None,
                         reason="gliomics console script not installed")

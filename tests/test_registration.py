@@ -179,9 +179,13 @@ class TestRegisterRigid:
             register_rigid(blob24, blob24, es=EsConfig(max_iters=0))
 
     def test_insufficient_initial_overlap(self, blob24):
-        bad_start = RigidTransform((0, 0, 0), (200.0, 0, 0))
-        with pytest.raises(InsufficientOverlap):
-            register_rigid(blob24, blob24, initial=bad_start)
+        # the moving volume lies 200 mm off the fixed grid, so the identity
+        # start maps no fixed sample into it
+        affine = np.diag([*blob24.spacing, 1.0])
+        affine[0, 3] = 200.0
+        far = Volume(blob24.data, blob24.spacing, affine)
+        with pytest.raises(InsufficientOverlap, match="initial overlap"):
+            register_rigid(blob24, far)
 
 
 class TestSubtractionMap:

@@ -23,6 +23,22 @@ groups_strategy = st.lists(
 ).filter(lambda g: sum(len(x) for x in g) >= 3)
 
 
+def reference_midranks(values):
+    """The tie-run loop ``midranks`` replaced; it must give the same bits."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    s = values[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and s[j + 1] == s[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def kw_rank_oracle(groups):
     """H from first principles: explicit midranks and tie correction."""
     pooled = np.concatenate([np.asarray(g, dtype=float) for g in groups])
@@ -57,6 +73,14 @@ class TestMidranks:
 
     def test_all_equal(self):
         assert np.array_equal(midranks([2.0, 2.0, 2.0, 2.0]), [2.5] * 4)
+
+    @given(st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.5, 7.0]),
+                              st.floats(allow_nan=True)), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_the_tie_run_loop(self, values):
+        # few distinct values make long tied runs; NaN never ties
+        assert (midranks(values).tobytes()
+                == reference_midranks(values).tobytes())
 
 
 class TestChi2Sf:
@@ -169,8 +193,9 @@ class TestDunn:
             dunn_posthoc([(1, 2), (3, 4)])
 
     def test_table_lists_every_pair(self):
-        rows = dunn_posthoc(FIXTURE).table()
-        assert len(rows) == 3
+        dunn = dunn_posthoc(FIXTURE)
+        assert dunn.pairs == ((0, 1), (0, 2), (1, 2))
+        assert len(dunn.z) == len(dunn.p_adjusted) == 3
 
 
 def mann_whitney_p(x, y):

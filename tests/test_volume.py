@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from gliomics import nifti
-from gliomics.errors import (GeometryMismatch, LabelOutOfRange, ModeMismatch,
-                             UnsupportedDatatype)
+from gliomics.errors import LabelOutOfRange, ModeMismatch, UnsupportedDatatype
 from gliomics.volume import (GridGeometry, LabelMap, Volume, load_labelmap,
-                             load_volume, require_same_geometry, resample,
-                             save_labelmap, save_volume)
+                             load_volume, resample, save_labelmap, save_volume)
 
 
 def vol(data, spacing=(1.0, 1.0, 1.0)):
@@ -79,8 +77,6 @@ class TestGeometry:
                        np.diag([2.0, 1, 1, 1]))
         assert identity_volume.geometry.matches(identity_volume.geometry)
         assert not identity_volume.geometry.matches(other.geometry)
-        with pytest.raises(GeometryMismatch):
-            require_same_geometry(identity_volume, other)
 
 
 class TestResample:

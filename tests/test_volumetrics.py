@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gliomics.volumetrics import component_volumes, label_ratios, volume_ratios
+from gliomics.volumetrics import component_volumes, volume_ratios
 
 from conftest import make_labelmap
 
@@ -31,8 +31,8 @@ def test_ratios_sum_to_100():
 
 def test_exclude_edema_changes_denominator():
     lm = make_labelmap({1: [(0, 0, 0), (0, 0, 1)], 2: [(3, 3, 3), (3, 3, 4)]})
-    with_edema = label_ratios(lm, include_edema=True)
-    without = label_ratios(lm, include_edema=False)
+    with_edema = volume_ratios(component_volumes(lm, include_edema=True))
+    without = volume_ratios(component_volumes(lm, include_edema=False))
     assert with_edema.ratios_pct[2] == pytest.approx(50.0)
     assert without.ratios_pct[2] == pytest.approx(100.0)
     # edema stays reported, now relative to the tumor-only denominator
@@ -43,7 +43,7 @@ def test_exclude_edema_changes_denominator():
 
 def test_empty_map_flags_degenerate():
     lm = make_labelmap({})
-    vr = label_ratios(lm)
+    vr = volume_ratios(component_volumes(lm))
     assert vr.degenerate
     assert all(v == 0.0 for v in vr.ratios_pct.values())
 
