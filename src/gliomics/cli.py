@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, replace
@@ -35,7 +36,8 @@ from .experiments import (CLASSIFIERS, EXPERIMENTS, read_feature_table,
                           run_experiment, summary_csv_rows,
                           write_feature_table)
 from .features import KIND_LENGTHS, build_kind, shape_block
-from .phantom import generate_cohort, read_manifest, write_cohort
+from .phantom import (cohort_specs, read_manifest, stream_cohort,
+                      worker_count)
 from .registration import EsConfig, MiConfig, register_rigid, subtraction_map
 from .stats import dunn_posthoc, kruskal_wallis
 from .volume import TUMOR_LABELS, load_labelmap, load_volume, save_volume
@@ -318,15 +320,21 @@ def cmd_phantom(args) -> int:
     if len(n_per_grade) != 3 or len(dims) != 3:
         raise GliomicsError("n-per-grade and dims need exactly three values")
     try:
-        cohort = generate_cohort(n_per_grade=n_per_grade,
-                                 base_seed=args.seed, dims=dims)
+        specs = cohort_specs(n_per_grade=n_per_grade, base_seed=args.seed,
+                             dims=dims)
     except ValueError as exc:   # sizes the phantom model cannot build
         raise GliomicsError(f"bad cohort size: {exc}") from exc
     out = Path(args.out)
-    manifest = write_cohort(cohort, out, compress=not args.no_compress)
+    workers = worker_count()
+    start = time.perf_counter()
+    manifest = stream_cohort(specs, out, workers,
+                             compress=not args.no_compress)
     prov = _provenance(args.seed, {"n_per_grade": n_per_grade, "dims": dims})
     write_json(out / "provenance.json", prov)
-    log.info("wrote %s (%d subjects)", manifest, len(cohort))
+    n_files = len(specs) * (1 + len(specs[0][1].modalities)) + 2
+    log.info("wrote %s: %d subjects, %d files, %d worker threads, %.2f s",
+             manifest, len(specs), n_files, workers,
+             time.perf_counter() - start)
     return 0
 
 

@@ -13,6 +13,9 @@ Everything is seeded; identical seeds give bit-identical volumes.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -223,17 +226,18 @@ def sample_cohort_ratios(grade: int, rng: np.random.Generator) -> dict:
     return {lab: 100.0 * v / total for lab, v in raw.items()}
 
 
-def generate_cohort(n_per_grade=(18, 14, 25), base_seed: int = 0,
-                    dims=(32, 32, 32)) -> Cohort:
-    """Generate a graded cohort with per-subject jittered composition.
+def cohort_specs(n_per_grade=(18, 14, 25), base_seed: int = 0,
+                 dims=(32, 32, 32)) -> list:
+    """Every subject's (subject_id, PhantomSpec), in cohort order.
 
     ``n_per_grade`` maps onto grades (II, III, IV).  Subjects share one grid;
     each gets its own derived seed, so cohorts are reproducible and subjects
-    independent.
+    independent.  Sizes the model cannot build raise ValueError here, before
+    any volume is made.
     """
     if min(n_per_grade) < 3:
         raise ValueError("need at least 3 subjects per grade")
-    subjects = []
+    specs = []
     for grade, n in zip((2, 3, 4), n_per_grade):
         for i in range(n):
             seed_seq = np.random.SeedSequence([base_seed, grade, i])
@@ -244,9 +248,21 @@ def generate_cohort(n_per_grade=(18, 14, 25), base_seed: int = 0,
             spec = PhantomSpec(grade=grade, ratios=ratios, dims=dims,
                                heterogeneity=het,
                                seed=int(rng.integers(2 ** 31)))
-            vols, lm = generate_phantom(spec)
-            subjects.append(PhantomSubject(f"g{grade}_{i:03d}", grade, vols, lm))
-    return Cohort(tuple(subjects))
+            specs.append((f"g{grade}_{i:03d}", spec))
+    return specs
+
+
+def _build_subject(subject_id: str, spec: PhantomSpec) -> PhantomSubject:
+    vols, lm = generate_phantom(spec)
+    return PhantomSubject(subject_id, spec.grade, vols, lm)
+
+
+def generate_cohort(n_per_grade=(18, 14, 25), base_seed: int = 0,
+                    dims=(32, 32, 32)) -> Cohort:
+    """Generate a graded cohort with per-subject jittered composition; the
+    subjects of ``cohort_specs``, all held in memory."""
+    return Cohort(tuple(_build_subject(*item) for item in
+                        cohort_specs(n_per_grade, base_seed, dims)))
 
 
 def smooth_blob_volume(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0),
@@ -272,6 +288,44 @@ def smooth_blob_volume(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0),
     return Volume(arr, spacing, np.diag([*spacing, 1.0]))
 
 
+# Most threads stream_cohort starts.  Threads beyond the usable CPUs only
+# contend: on a 2-core host 2 threads took the 18/14/25 cohort from 1.40 s
+# to 0.86-0.92 s, and 3 or 4 threads took longer than 2.  The cap bounds the
+# subjects held at once and the contention for the interpreter lock on
+# larger hosts, where no thread count has been measured.
+MAX_WORKERS = 4
+
+
+def worker_count() -> int:
+    """The usable CPUs, at most MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call (macOS, Windows)
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, MAX_WORKERS))
+
+
+def _extension(compress: bool) -> str:
+    return ".nii.gz" if compress else ".nii"
+
+
+def _write_subject(sub: PhantomSubject, outdir: Path, ext: str) -> list:
+    """Write one subject's label map and volumes; returns its manifest row."""
+    seg_name = f"{sub.subject_id}_seg{ext}"
+    save_labelmap(sub.labelmap, outdir / seg_name)
+    row = [sub.subject_id, str(sub.grade), seg_name]
+    for modality, vol in sub.volumes.items():
+        name = f"{sub.subject_id}_{modality}{ext}"
+        save_volume(vol, outdir / name)
+        row.append(name)
+    return row
+
+
+def _write_manifest(outdir: Path, modalities, rows) -> Path:
+    table = [["subject_id", "grade", "labelmap", *modalities], *rows]
+    return write_csv(outdir / "manifest.csv", table)
+
+
 def write_cohort(cohort: Cohort, outdir, compress: bool = True) -> Path:
     """Write all volumes/label maps as NIfTI plus a manifest CSV.
 
@@ -281,19 +335,34 @@ def write_cohort(cohort: Cohort, outdir, compress: bool = True) -> Path:
     files that exist.
     """
     outdir = Path(outdir)
-    ext = ".nii.gz" if compress else ".nii"
-    modalities = list(cohort.subjects[0].volumes)
-    table = [["subject_id", "grade", "labelmap", *modalities]]
-    for sub in cohort.subjects:
-        seg_name = f"{sub.subject_id}_seg{ext}"
-        save_labelmap(sub.labelmap, outdir / seg_name)
-        row = [sub.subject_id, str(sub.grade), seg_name]
-        for modality in modalities:
-            name = f"{sub.subject_id}_{modality}{ext}"
-            save_volume(sub.volumes[modality], outdir / name)
-            row.append(name)
-        table.append(row)
-    return write_csv(outdir / "manifest.csv", table)
+    rows = [_write_subject(sub, outdir, _extension(compress))
+            for sub in cohort.subjects]
+    return _write_manifest(outdir, list(cohort.subjects[0].volumes), rows)
+
+
+def stream_cohort(specs, outdir, workers: int, compress: bool = True) -> Path:
+    """Build and write the subjects of ``specs`` on ``workers`` threads,
+    then the manifest; the same files as ``write_cohort`` of the same
+    subjects, byte for byte, for any ``workers``.
+
+    Each thread holds one subject at a time, and a subject's arrays are
+    freed once its files are written.  Much of the work, deflate above all,
+    runs outside the interpreter lock.  One worker runs in this thread,
+    with no pool.  If a subject fails, the subjects still queued are
+    cancelled and no manifest is written.
+    """
+    outdir = Path(outdir)
+    ext = _extension(compress)
+
+    def build_and_write(item):
+        return _write_subject(_build_subject(*item), outdir, ext)
+
+    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        # Executor.map cancels the subjects still queued once one raises
+        rows = list(pool.map(build_and_write, specs) if pool
+                    else map(build_and_write, specs))
+    return _write_manifest(outdir, specs[0][1].modalities, rows)
 
 
 def read_manifest(path):

@@ -12,6 +12,7 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -19,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -26,10 +28,12 @@ import numpy as np
 import pytest
 
 import gliomics
-from gliomics import cli, features
+from gliomics import cli, features, phantom
 from gliomics.cli import build_parser, main
+from gliomics.errors import IoFailure
 from gliomics.experiments import run_experiment, write_feature_table
 from gliomics.nifti import VOX_OFFSET, read_nifti
+from gliomics.phantom import generate_cohort, write_cohort
 from gliomics.registration import EsConfig, MiConfig
 
 
@@ -80,6 +84,79 @@ class TestPhantomCommand:
         out = tmp_path / "cohort"
         assert main(["phantom", "--out", str(out), flag, value]) == 2
         assert not out.exists()
+
+
+STREAMED = ["--n-per-grade", "6,6,6", "--seed", "3"]
+
+
+def _tree(root) -> dict:
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestPhantomStreaming:
+    """``phantom`` builds and writes subjects on worker threads; each thread
+    holds one subject at a time."""
+
+    def test_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch):
+        trees = {"default": None, 1: None, 2: None}
+        for workers in trees:
+            if workers != "default":
+                monkeypatch.setattr(cli, "worker_count", lambda n=workers: n)
+            out = tmp_path / str(workers)
+            assert main(["phantom", "--out", str(out), *STREAMED]) == 0
+            trees[workers] = _tree(out)
+        assert len(trees[1]) == 18 * 4 + 2      # NIfTI, manifest, provenance
+        assert trees["default"] == trees[1] == trees[2]
+        reference = tmp_path / "in_memory"
+        write_cohort(generate_cohort((6, 6, 6), base_seed=3), reference)
+        del trees[1][Path("provenance.json")]
+        assert _tree(reference) == trees[1]
+
+    def test_two_workers_hold_few_subjects(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "worker_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            assert main(["phantom", "--out", str(tmp_path), *STREAMED]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # all 18 subjects in memory at once peak at about 17 MB
+        assert peak < 6e6
+
+    def test_failed_subject_leaves_no_manifest(self, tmp_path, monkeypatch):
+        started = []
+
+        def fail_one(vol, path):
+            name = Path(path).name
+            started.append(name[:len("g2_000")])
+            if name.startswith("g2_000_t1_post"):
+                raise IoFailure(f"{path}: no space left on device")
+            time.sleep(0.05)    # most subjects are still queued at the failure
+            return real_save(vol, path)
+
+        real_save = phantom.save_volume
+        monkeypatch.setattr(phantom, "save_volume", fail_one)
+        monkeypatch.setattr(cli, "worker_count", lambda: 2)
+        out = tmp_path / "cohort"
+        assert main(["phantom", "--out", str(out), *STREAMED]) == 2
+        names = [p.name for p in out.iterdir()]
+        assert "manifest.csv" not in names
+        assert "provenance.json" not in names
+        assert not [n for n in names if n.endswith(".tmp")]
+        # the subjects still queued were cancelled, never started
+        assert 1 <= len(set(started)) < 18
+
+    def test_info_line_on_stderr(self, tmp_path, monkeypatch, caplog, capsys):
+        monkeypatch.setattr(cli, "worker_count", lambda: 2)
+        with caplog.at_level(logging.INFO, logger="gliomics"):
+            assert main(["phantom", "--out", str(tmp_path), "--n-per-grade",
+                         "3,3,3", "--no-compress"]) == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.levelno == logging.INFO]
+        assert re.fullmatch(r"wrote \S+manifest\.csv: 9 subjects, 38 files, "
+                            r"2 worker threads, \d+\.\d\d s", line), line
+        assert capsys.readouterr().out == ""
 
 
 class TestFeaturesCommand:

@@ -226,6 +226,32 @@ def packed(tmp_path_factory):
             d / "mutant.nii.gz")
 
 
+HEADER_LAYOUTS = ("sform", "big-endian", "qform")
+
+
+def _layout(blob: bytes, layout: str) -> tuple:
+    """The raw NIfTI bytes of the gzipped float32 ``blob`` and their byte
+    order, in one header layout: as ``write_nifti`` leaves them ("sform"), every
+    header field and voxel byte-swapped ("big-endian"), or with the affine
+    in the qform alone ("qform").  Each decodes to the same volume."""
+    raw = gzip.decompress(blob)
+    hdr = np.frombuffer(raw[:nifti.HEADER_SIZE],
+                        dtype=nifti._header_dtype("<"))[0].copy()
+    if layout == "sform":
+        return raw, "<"
+    if layout == "qform":
+        # identity rotation and zero offsets: the writer's diagonal affine
+        hdr["sform_code"], hdr["qform_code"] = 0, 1
+        for name in ("srow_x", "srow_y", "srow_z", "quatern_b", "quatern_c",
+                     "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z"):
+            hdr[name] = 0
+        return hdr.tobytes() + raw[nifti.HEADER_SIZE:], "<"
+    swapped = np.array(hdr, dtype=nifti._header_dtype(">"))
+    voxels = np.frombuffer(raw[nifti.VOX_OFFSET:], dtype="<f4").astype(">f4")
+    return (swapped.tobytes() + raw[nifti.HEADER_SIZE:nifti.VOX_OFFSET]
+            + voxels.tobytes(), ">")
+
+
 def _same_volume(a, b) -> bool:
     return (a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data)
             and a.spacing == b.spacing and np.array_equal(a.affine, b.affine))
@@ -257,18 +283,25 @@ class TestFaultInjection:
         with pytest.raises(GliomicsError):
             nifti.read_nifti(mutant)
 
-    @given(st.sampled_from(_header_faults()))
-    @settings(max_examples=500, deadline=None)
+    @pytest.mark.parametrize("layout", HEADER_LAYOUTS)
+    def test_header_layouts_decode_alike(self, packed, layout):
+        blob, good, mutant = packed
+        write_bytes(mutant, _layout(blob, layout)[0])
+        assert _same_volume(nifti.read_nifti(mutant), good)
+
+    @given(st.sampled_from(HEADER_LAYOUTS), st.sampled_from(_header_faults()))
+    @settings(max_examples=800, deadline=None)
     def test_bad_header_field_raises_or_keeps_geometry_usable(self, packed,
-                                                             fault):
+                                                             layout, fault):
         blob, good, mutant = packed
         name, i, value = fault
-        mutant.write_bytes(blob)
-        hdr = np.frombuffer(gzip.decompress(blob)[:nifti.HEADER_SIZE],
-                            dtype=nifti._header_dtype("<"))[0]
-        field = np.array(hdr[name])
-        field.reshape(-1)[i] = np.asarray(value).astype(field.dtype)
-        _patch_header(mutant, **{name: field})
+        raw, order = _layout(blob, layout)
+        hdr = np.frombuffer(raw[:nifti.HEADER_SIZE],
+                            dtype=nifti._header_dtype(order))[0].copy()
+        field = hdr[name].reshape(-1)
+        field[i] = np.asarray(value).astype(field.dtype)
+        hdr[name] = field.reshape(hdr[name].shape)
+        write_bytes(mutant, hdr.tobytes() + raw[nifti.HEADER_SIZE:])
         try:
             out = nifti.read_nifti(mutant)
         except GliomicsError:

@@ -1,14 +1,19 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gliomics import phantom
 from gliomics.errors import InfeasibleRatios
 from gliomics.nifti import read_nifti
-from gliomics.phantom import (MEDIAN_RATIOS, PhantomSpec, generate_cohort,
-                              generate_phantom, read_manifest,
-                              sample_cohort_ratios, smooth_blob_volume,
-                              write_cohort)
+from gliomics.phantom import (MAX_WORKERS, MEDIAN_RATIOS, PhantomSpec,
+                              cohort_specs, generate_cohort, generate_phantom,
+                              read_manifest, sample_cohort_ratios,
+                              smooth_blob_volume, stream_cohort,
+                              worker_count, write_cohort)
 
 OFFSETS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
@@ -153,6 +158,44 @@ class TestCohortIo:
         assert np.array_equal(seg.data.astype(np.int16), sub.labelmap.data)
         vol = read_nifti(row["t2"])
         assert np.allclose(vol.data, sub.volumes["t2"].data, atol=1e-5)
+
+
+class TestStreamCohort:
+    def test_one_worker_runs_in_the_calling_thread(self, tmp_path,
+                                                   monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker must not start a pool")
+
+        threads = set()
+
+        def record_thread(*args):
+            threads.add(threading.current_thread())
+            return real_save(*args)
+
+        real_save = phantom.save_volume
+        monkeypatch.setattr(phantom, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(phantom, "save_volume", record_thread)
+        stream_cohort(cohort_specs((3, 3, 3)), tmp_path, 1, compress=False)
+        assert threads == {threading.current_thread()}
+        assert len(read_manifest(tmp_path / "manifest.csv")[0]) == 9
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("cpus, expected", [
+        (1, 1), (2, min(2, MAX_WORKERS)), (64, MAX_WORKERS)])
+    def test_usable_cpus_capped(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 128)
+        assert worker_count() == expected
+
+    @pytest.mark.parametrize("cpus, expected", [
+        (None, 1), (1, 1), (64, MAX_WORKERS)])
+    def test_cpu_count_without_affinity(self, monkeypatch, cpus, expected):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert worker_count() == expected
 
 
 class TestSmoothBlobVolume:
