@@ -6,8 +6,8 @@ comment line) and contains no timestamps, so reruns with identical inputs
 are byte-identical.  Every file goes through ``artifacts``, which writes it
 atomically (unique temp file + rename), so no file is ever half-written.
 
-Exit codes: 0 success, 2 input/config problem, 3 registration failure,
-4 training failure.
+Exit codes: 0 success, otherwise the ``exit_code`` of the package error
+raised (see ``errors``); any other OS error exits 2.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ import numpy as np
 from . import __version__
 from .artifacts import read_bytes, read_csv, write_csv, write_json
 from .classify import TrainConfig
-from .errors import (ClassTooSmall, GliomicsError, InsufficientOverlap,
-                     NoConvergence, NoImprovement, SingleClass)
+from .errors import GliomicsError
 from .experiments import (CLASSIFIERS, EXPERIMENTS, read_feature_table,
                           run_experiment, summary_csv_rows,
                           write_feature_table)
@@ -45,8 +44,8 @@ from .volumetrics import component_volumes, volume_ratios
 
 log = logging.getLogger("gliomics")
 
-_REGISTRATION_ERRORS = (InsufficientOverlap, NoImprovement)
-_TRAINING_ERRORS = (NoConvergence, SingleClass, ClassTooSmall)
+# what the error line says before the message, by exit code
+_FAILURE_PREFIX = {3: "registration failed: ", 4: "training failed: "}
 
 
 def _config_digest(payload: dict) -> str:
@@ -105,9 +104,7 @@ def cmd_subtract(args) -> int:
     mi, es = MiConfig(), EsConfig(seed=args.seed)
     transform = register_rigid(post, pre, mi, es)
     sub = subtraction_map(pre, post, transform)
-    config = {"pre": str(args.pre), "post": str(args.post),
-              "mi": asdict(mi), "es": asdict(es)}
-    prov = _provenance(args.seed, config)
+    prov = _provenance(args.seed, {"mi": asdict(mi), "es": asdict(es)})
     save_volume(sub, out / "subtraction.nii.gz")
     payload = transform.to_json()
     payload["provenance"] = prov
@@ -149,8 +146,10 @@ def cmd_features(args) -> int:
             raise GliomicsError(f"unknown feature kind {kind!r}")
     extract = partial(_extract_subject, modalities=modalities, kinds=kinds)
     results = []
-    # one job runs in this process, with no pool to start
-    with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
+    # a pool starts all its workers at once, so it gets no more than there
+    # are subjects; one job runs in this process, with no pool to start
+    jobs = min(args.jobs, len(rows))
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
           else nullcontext()) as pool:
         outcomes = pool.map(extract, rows) if pool else map(extract, rows)
         for row, outcome in zip(rows, outcomes):
@@ -169,9 +168,7 @@ def cmd_features(args) -> int:
     results.sort(key=lambda r: r[0])
 
     out = Path(args.out)
-    config = {"manifest": str(args.manifest), "kinds": kinds,
-              "modalities": modalities}
-    prov = _provenance(args.seed, config)
+    prov = _provenance(args.seed, {"kinds": kinds, "modalities": modalities})
     for kind in kinds:
         table_rows = [(sid, modality, grade, vecs[modality][kind])
                       for sid, grade, vecs in results
@@ -191,9 +188,7 @@ def cmd_volumetrics(args) -> int:
     rows, _ = read_manifest(args.manifest)
     if not rows:
         raise GliomicsError(f"manifest {args.manifest} lists no subjects")
-    config = {"manifest": str(args.manifest),
-              "include_edema": not args.exclude_edema}
-    prov = _provenance(args.seed, config)
+    prov = _provenance(args.seed, {"include_edema": not args.exclude_edema})
     table = [["subject_id", "grade",
               *[f"vol_mm3_label{k}" for k in TUMOR_LABELS], "total_mm3",
               *_RATIO_COLUMNS]]
@@ -224,18 +219,26 @@ def cmd_train_eval(args) -> int:
                             f"got {n_runs!r}")
     cfg = _train_config(config.get("train", {}))
 
+    # report names carry the kind, so two tables of one kind would overwrite
+    # each other's reports
+    tables = {}
+    for path in args.features:
+        meta, X, kind = read_feature_table(path)
+        if kind in tables:
+            raise GliomicsError(f"{tables[kind][0]} and {path} are both "
+                                f"{kind} tables")
+        tables[kind] = (path, meta, X)
+
     out = Path(args.out)
     # the settings the grid runs with, however they were given
     prov = _provenance(args.seed, {
         "classifiers": classifiers, "experiments": experiments,
-        "n_runs": n_runs, "train": asdict(cfg),
-        "tables": [str(p) for p in args.features]})
+        "n_runs": n_runs, "train": asdict(cfg)})
     summaries, reports = [], {}
     # every run's seed and settings are the grid's, so equal rows give equal
     # summaries: the shape table repeats its rows under every modality
     trained = {}
-    for table_path in args.features:
-        meta, X, kind = read_feature_table(table_path)
+    for kind, (_, meta, X) in tables.items():
         by_modality = {}
         for i, m in enumerate(meta):
             by_modality.setdefault(m["modality"], []).append(i)
@@ -255,16 +258,9 @@ def cmd_train_eval(args) -> int:
                             n_runs=n_runs, seed0=args.seed, kind=kind,
                             modality=modality)
                     summaries.append(s)
-                    report = {
-                        "experiment": s.experiment, "classifier": s.classifier,
-                        "kind": s.kind, "modality": s.modality,
-                        "mean_accuracy": s.mean_accuracy,
-                        "best_accuracy": s.best_accuracy,
-                        "mean_auc": s.mean_auc, "best_auc": s.best_auc,
-                        "per_run": [{"seed": r.seed, "accuracy": r.accuracy,
-                                     "auc": r.auc} for r in s.runs],
-                        "provenance": prov,
-                    }
+                    report = asdict(s)
+                    report["per_run"] = report.pop("runs")
+                    report["provenance"] = prov
                     name = f"report_{kind}_{modality}_{classifier}_{experiment}.json"
                     reports[name] = report
     # nothing is written until the whole grid has run
@@ -278,15 +274,13 @@ def cmd_train_eval(args) -> int:
 # ------------------------------------------------------------------- stats
 
 def cmd_stats(args) -> int:
-    path = Path(args.ratios)
-    rows = read_csv(path, {"grade": int,
-                           **dict.fromkeys(_RATIO_COLUMNS, float)})
+    rows = read_csv(args.ratios, {"grade": int,
+                                  **dict.fromkeys(_RATIO_COLUMNS, float)})
     grades = sorted({r["grade"] for r in rows})
     if len(grades) < 3:
         raise GliomicsError(f"need all three grades, found {grades}")
 
-    config = {"ratios": str(path)}
-    prov = _provenance(args.seed, config)
+    prov = _provenance(args.seed, {})     # the rank tests take no settings
     results = {}
     table = [["ratio", "h", "p_kw", "pair", "z", "p_adjusted", "significant"]]
     for col in _RATIO_COLUMNS:
@@ -412,15 +406,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _REGISTRATION_ERRORS as exc:
-        log.error("registration failed: %s", exc)
-        return 3
-    except _TRAINING_ERRORS as exc:
-        log.error("training failed: %s", exc)
-        return 4
     except GliomicsError as exc:
-        log.error("%s", exc)
-        return 2
+        log.error("%s%s", _FAILURE_PREFIX.get(exc.exit_code, ""), exc)
+        return exc.exit_code
     except OSError as exc:
         log.error("%s", exc)
         return 2

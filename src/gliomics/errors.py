@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline.
+
+Each class carries the exit code ``gliomics`` returns for it: 2 for bad
+input or config, 3 for a failed registration, 4 for a failed training run.
+"""
 
 
 class GliomicsError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 # --- file I/O -------------------------------------------------------------
@@ -50,11 +56,7 @@ class GeometryMismatch(GliomicsError):
 # --- registration -----------------------------------------------------------
 
 class InsufficientOverlap(GliomicsError):
-    pass
-
-
-class NoImprovement(GliomicsError):
-    """Search radius collapsed before any mutation could be evaluated."""
+    exit_code = 3
 
 
 # --- features ---------------------------------------------------------------
@@ -70,17 +72,17 @@ class EmptyMatrix(GliomicsError):
 
 
 class SingleClass(GliomicsError):
-    pass
+    exit_code = 4
 
 
 class NoConvergence(GliomicsError):
-    pass
+    exit_code = 4
 
 
 # --- evaluation / statistics ------------------------------------------------
 
 class ClassTooSmall(GliomicsError):
-    pass
+    exit_code = 4
 
 
 class LengthMismatch(GliomicsError):

@@ -116,13 +116,9 @@ def run_experiment(X: np.ndarray, grades: np.ndarray, experiment: str,
         try:
             runs.append(run_once(X_sub, g_sub, classifier, cfg, seed0 + i))
         except GliomicsError as exc:
-            msg = (f"run {i} (seed {seed0 + i}) of {experiment}/{classifier} "
-                   f"failed: {exc}")
-            try:
-                wrapped = type(exc)(msg)   # keep the class for exit-code mapping
-            except TypeError:
-                wrapped = GliomicsError(msg)
-            raise wrapped from exc
+            # the same class, so the same exit code
+            raise type(exc)(f"run {i} (seed {seed0 + i}) of {experiment}/"
+                            f"{classifier} failed: {exc}") from exc
     accs = np.array([r.accuracy for r in runs])
     aucs = np.array([r.auc for r in runs])
     finite = aucs[np.isfinite(aucs)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
-from .errors import InsufficientOverlap, NoImprovement
+from .errors import InsufficientOverlap
 from .volume import Volume, resample
 
 log = logging.getLogger(__name__)
@@ -30,11 +30,13 @@ MIN_OVERLAP_FRACTION = 0.25
 
 # The (1+1)-ES starts at INITIAL_RADIUS, multiplies the radius by GROWTH
 # after an accepted step and by SHRINK after a rejected one, and stops once
-# it falls below EPSILON.
+# it falls below EPSILON or once it has evaluated MAX_EVALS candidates over
+# both levels.
 INITIAL_RADIUS = 1.5
 GROWTH = 1.05
 SHRINK = 0.98
 EPSILON = 1e-3
+MAX_EVALS = 2000
 
 # Total MI gain below this is interpolation noise, not signal: soft binning
 # can squeeze out ~1e-4 bits by drifting off a true optimum, while a 0.1
@@ -166,12 +168,7 @@ class MiConfig:
 
 @dataclass(frozen=True)
 class EsConfig:
-    max_iters: int = 2000
     seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
 
 
 class _MiEvaluator:
@@ -299,7 +296,7 @@ def register_rigid(fixed: Volume, moving: Volume, mi: MiConfig = MiConfig(),
     ``COARSE_STRIDE``-th point of both volumes smoothed by a Gaussian of
     ``COARSE_SIGMA`` voxels until the radius falls below ``HANDOVER`` times
     ``EPSILON``, then every point, unsmoothed, down to ``EPSILON``.
-    ``es.max_iters`` bounds the candidates of both levels together.
+    ``MAX_EVALS`` bounds the candidates of both levels together.
 
     The best transform seen is returned, except that a full-resolution MI
     gain below ``MIN_GAIN`` keeps the starting transform.  With
@@ -323,12 +320,10 @@ def register_rigid(fixed: Volume, moving: Volume, mi: MiConfig = MiConfig(),
     if start_overlap < MIN_OVERLAP_FRACTION:
         raise InsufficientOverlap(f"initial overlap {start_overlap:.1%} below "
                                   f"{MIN_OVERLAP_FRACTION:.1%}")
-    if es.max_iters == 0:
-        raise NoImprovement("no mutation budget")
 
     coarse = _MiEvaluator(_smoothed(fixed), _smoothed(moving),
                           index[:, ::COARSE_STRIDE])
-    p, radius, budget = start.params(), INITIAL_RADIUS, es.max_iters
+    p, radius, budget = start.params(), INITIAL_RADIUS, MAX_EVALS
     counts = []
     for ev, floor in ((coarse, HANDOVER * EPSILON), (fine, EPSILON)):
         cur_mi, overlap = evaluate(ev, p)

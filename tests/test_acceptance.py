@@ -314,24 +314,26 @@ def test_criterion_8b_ann_histogram_separation(capsys):
            f"runs; criterion-8 total {total:.0f}s (limit 900s)")
 
 
-def _walkthrough():
-    """The README walkthrough through ``main``, in the working directory
-    and on relative paths as the README writes them (the provenance digest
-    covers the paths).  Returns the wall time of each stage run and the
-    first stage that did not exit 0, or None."""
-    tables = [f"feats/features_{k}.csv" for k in ("v1", "v2", "v3", "shape")]
+def _walkthrough(base=""):
+    """The README walkthrough through ``main``, on the README's paths
+    below ``base`` (relative ones with the default).  Returns the wall time
+    of each stage run and the first stage that did not exit 0, or None."""
+    tables = [f"{base}feats/features_{k}.csv"
+              for k in ("v1", "v2", "v3", "shape")]
     stages = {
-        "phantom": ["phantom", "--out", "cohort/", "--n-per-grade",
+        "phantom": ["phantom", "--out", f"{base}cohort/", "--n-per-grade",
                     "18,14,25"],
-        "features": ["features", "cohort/manifest.csv", "--out", "feats/",
-                     "--kinds", "v1,v2,v3,shape", "--jobs", "2"],
-        "volumetrics": ["volumetrics", "cohort/manifest.csv",
-                        "--out", "volumetrics.csv"],
-        "stats": ["stats", "volumetrics.csv", "--out", "stats/"],
-        "train-eval": ["train-eval", *tables, "--out", "reports/",
-                       "--config", "train.json"],
-        "subtract": ["subtract", "cohort/g2_000_t1_pre.nii.gz",
-                     "cohort/g2_000_t1_post.nii.gz", "--out", "sub/"],
+        "features": ["features", f"{base}cohort/manifest.csv",
+                     "--out", f"{base}feats/", "--kinds", "v1,v2,v3,shape",
+                     "--jobs", "2"],
+        "volumetrics": ["volumetrics", f"{base}cohort/manifest.csv",
+                        "--out", f"{base}volumetrics.csv"],
+        "stats": ["stats", f"{base}volumetrics.csv", "--out", f"{base}stats/"],
+        "train-eval": ["train-eval", *tables, "--out", f"{base}reports/",
+                       "--config", f"{base}train.json"],
+        "subtract": ["subtract", f"{base}cohort/g2_000_t1_pre.nii.gz",
+                     f"{base}cohort/g2_000_t1_post.nii.gz",
+                     "--out", f"{base}sub/"],
     }
     seconds = {}
     for name, argv in stages.items():
@@ -347,14 +349,15 @@ def test_criterion_9_readme_walkthrough_end_to_end(capsys, tmp_path,
     # the whole study on the default cohort: four tables, all three
     # classifiers and all four experiments at n_runs 2, so the shape table
     # is trained at C 100 across the grid; then a rerun in a second
-    # directory must give the same bytes, .nii.gz included
+    # directory, on absolute paths, must give the same bytes, .nii.gz
+    # included: provenance digests cover settings, not input paths
     t0 = time.perf_counter()
     runs = []
-    for side in ("a", "b"):
+    for side, base in (("a", ""), ("b", f"{tmp_path / 'b'}/")):
         (tmp_path / side).mkdir()
         monkeypatch.chdir(tmp_path / side)
         Path("train.json").write_text(json.dumps({"n_runs": 2}))
-        runs.append(_walkthrough())
+        runs.append(_walkthrough(base))
     elapsed = time.perf_counter() - t0
     problems = [f"{side}: {failed} did not exit 0"
                 for side, (_, failed) in zip("ab", runs) if failed]
@@ -373,6 +376,7 @@ def test_criterion_9_readme_walkthrough_end_to_end(capsys, tmp_path,
         problems.append(f"{len(reports)} train-eval files, want 144 + 1")
     stages = ", ".join(f"{k} {v:.2f}s" for k, v in runs[0][0].items())
     report(capsys, 9, not problems,
-           f"README walkthrough on 18/14/25 twice, {len(files['a'])} files "
-           f"each, byte-identical; first run {stages}; both in {elapsed:.1f}s"
+           f"README walkthrough on 18/14/25 twice, the second on absolute "
+           f"paths, {len(files['a'])} files each, byte-identical; first run "
+           f"{stages}; both in {elapsed:.1f}s"
            + (f"; failed: {problems}" if problems else ""))

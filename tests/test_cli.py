@@ -35,6 +35,7 @@ from gliomics.experiments import run_experiment, write_feature_table
 from gliomics.nifti import VOX_OFFSET, read_nifti
 from gliomics.phantom import generate_cohort, write_cohort
 from gliomics.registration import EsConfig, MiConfig
+from gliomics.volume import Volume, load_volume, save_volume
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +196,34 @@ class TestFeaturesCommand:
             a = (feature_dir / f"features_{kind}.csv").read_bytes()
             assert (tmp_path / f"features_{kind}.csv").read_bytes() == a
 
+    def test_pool_no_larger_than_the_cohort(self, cohort_dir, feature_dir,
+                                           tmp_path, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records the pool size asked for and starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        rc = main(["features", str(cohort_dir / "manifest.csv"),
+                   "--kinds", "v1,shape", "--out", str(tmp_path),
+                   "--jobs", "64"])
+        assert rc == 0
+        assert sizes == [9]
+        for kind in ("v1", "shape"):
+            a = (feature_dir / f"features_{kind}.csv").read_bytes()
+            assert (tmp_path / f"features_{kind}.csv").read_bytes() == a
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, cohort_dir, tmp_path, jobs):
         out = tmp_path / "feats"
@@ -293,25 +322,25 @@ CORRUPTIONS = {"truncated_header": _truncate_header, "label_7": _label_7,
 
 
 class TestFeaturesStage:
-    """The features stage on a 3/3/3 cohort (seed 0), run from relative
-    paths so the provenance digests do not depend on the temp directory."""
+    """The features stage on a 3/3/3 cohort (seed 0)."""
 
     # sha256 of each file as the pipeline wrote it before shape features
-    # were computed once per label map; any byte change is a regression
-    # (a version bump changes the provenance line, and these with it)
+    # were computed once per label map, with the digests of configs that
+    # hold no input path; any byte change is a regression (a version bump
+    # changes the provenance line, and these with it)
     DIGESTS = {
         "feats/features_v1.csv":
-            "e39f225425ab484c0201971559eadf23bc975e9f2ddc17f6108e59f7f0242a99",
+            "622d6587b7e9d57bb331a0f471d9f213558f4a08a2defb877935d39a80483288",
         "feats/features_v2.csv":
-            "2724ea40573ee56873d78cb75830ae41d5b5b46cdb8745973f29403d6ea2acd3",
+            "a8bb7ceeeb27fab5d335213ab8625e35816d7abcb949cfc4967f4729560e790f",
         "feats/features_v3.csv":
-            "80b3908d51a6c2024f1961b26b36ef4be75f8616e9b3215b797e7c73aa0e30ac",
+            "04b46f2f48723e9e29198d0e3bc1d3334b97246a5612468ada612ebcc2ad4613",
         "feats/features_shape.csv":
-            "2ffc78b42d1ba8116a5c99070fca92a17a1b58483c44d8285f216d283a561005",
+            "0144b13ddc1cce4ae6787a328b3da64cd68ee3728cf15cacad40982b47e1935d",
         "volumetrics.csv":
-            "e035a42c32ffd055aa169cf20d99e01b8114cff70ecf95ff5e51d81b12fe2c38",
+            "4dc5e7fc0612879d43cc8f07a1e72db7bd66036002cb58c57adc863d0efc20a3",
         "stats/stats.json":
-            "9d6c847baebc09876f6b404ae2aaf76a45793be36e57b52198fde85975577673",
+            "89d418100d442abff194ef8d7facc58236c36c3a7c2a127016f205f37266e7c1",
     }
 
     def test_shape_once_per_subject_and_bytes_unchanged(self, tmp_path,
@@ -459,6 +488,22 @@ class TestTrainEvalCommand:
         for fresh in (tmp_path / "fresh").glob("report_*.json"):
             assert fresh.read_bytes() == \
                 (tmp_path / "grid" / fresh.name).read_bytes()
+
+    def test_two_tables_of_one_kind_exit_2(self, feature_dir, tmp_path,
+                                           monkeypatch, caplog):
+        def untrained(*args, **kwargs):
+            pytest.fail("trained before every table was read")
+
+        monkeypatch.setattr(cli, "run_experiment", untrained)
+        copy = tmp_path / "copy" / "features_v1.csv"
+        copy.parent.mkdir()
+        shutil.copy(feature_dir / "features_v1.csv", copy)
+        out = tmp_path / "reports"
+        assert main(["train-eval", str(feature_dir / "features_v1.csv"),
+                     str(feature_dir / "features_shape.csv"), str(copy),
+                     "--out", str(out), "--runs", "1"]) == 2
+        assert f"{copy} are both v1 tables" in caplog.text
+        assert not out.exists()
 
     def test_unknown_classifier_in_config(self, feature_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -628,11 +673,24 @@ class TestSubtractCommand:
         pre = str(cohort_dir / "g2_000_t1_pre.nii")
         assert main(["subtract", pre, pre, "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "transform.json").read_text())
-        config = {"pre": pre, "post": pre,
-                  "mi": dataclasses.asdict(MiConfig()),
+        config = {"mi": dataclasses.asdict(MiConfig()),
                   "es": dataclasses.asdict(EsConfig(seed=0))}
         assert payload["provenance"]["config_digest"] == \
             cli._config_digest(config)
+
+    def test_no_overlap_exits_3_and_writes_nothing(self, cohort_dir, tmp_path,
+                                                   caplog):
+        post = cohort_dir / "g2_000_t1_post.nii"
+        vol = load_volume(cohort_dir / "g2_000_t1_pre.nii")
+        affine = vol.affine.copy()
+        affine[0, 3] += 200.0       # no post voxel maps into the moved pre
+        pre = tmp_path / "far_pre.nii"
+        save_volume(Volume(vol.data, vol.spacing, affine), pre)
+        out = tmp_path / "sub"
+        assert main(["subtract", str(pre), str(post), "--out", str(out)]) == 3
+        assert "registration failed: initial overlap" in caplog.text
+        assert not (out / "transform.json").exists()
+        assert not (out / "subtraction.nii.gz").exists()
 
     def test_missing_input(self, tmp_path):
         assert main(["subtract", str(tmp_path / "a.nii"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gliomics import registration
-from gliomics.errors import InsufficientOverlap, NoImprovement
+from gliomics.errors import InsufficientOverlap
 from gliomics.phantom import generate_cohort, smooth_blob_volume
 from gliomics.registration import (EsConfig, MiConfig, RigidTransform,
                                    mutual_information, register_rigid,
@@ -151,9 +151,10 @@ class TestRegisterRigid:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(registration, "map_coordinates", counting)
+        monkeypatch.setattr(registration, "MAX_EVALS", k)
         # unbounded, this search spends 348 candidates on the coarse level
         # and 209 on the full-resolution one, so 450 reaches both
-        register_rigid(blob24, moved, es=EsConfig(max_iters=k, seed=5))
+        register_rigid(blob24, moved, es=EsConfig(seed=5))
         # one interpolation per candidate, plus five that are not: the
         # fixed image at both levels, the starting pose at both levels and
         # the hand-over pose at full resolution
@@ -173,10 +174,6 @@ class TestRegisterRigid:
         assert len(worst) == 9
         assert max(deg for deg, _ in worst) <= 0.5
         assert max(mm for _, mm in worst) <= 0.5
-
-    def test_no_budget_raises(self, blob24):
-        with pytest.raises(NoImprovement):
-            register_rigid(blob24, blob24, es=EsConfig(max_iters=0))
 
     def test_insufficient_initial_overlap(self, blob24):
         # the moving volume lies 200 mm off the fixed grid, so the identity
