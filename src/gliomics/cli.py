@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
@@ -36,7 +35,7 @@ from .experiments import (CLASSIFIERS, EXPERIMENTS, read_feature_table,
                           write_feature_table)
 from .features import KIND_LENGTHS, build_kind, shape_block
 from .phantom import (cohort_specs, read_manifest, stream_cohort,
-                      worker_count)
+                      worker_count, worker_map)
 from .registration import EsConfig, MiConfig, register_rigid, subtraction_map
 from .stats import dunn_posthoc, kruskal_wallis
 from .volume import TUMOR_LABELS, load_labelmap, load_volume, save_volume
@@ -146,23 +145,15 @@ def cmd_features(args) -> int:
             raise GliomicsError(f"unknown feature kind {kind!r}")
     extract = partial(_extract_subject, modalities=modalities, kinds=kinds)
     results = []
-    # a pool starts all its workers at once, so it gets no more than there
-    # are subjects; one job runs in this process, with no pool to start
-    jobs = min(args.jobs, len(rows))
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
-          else nullcontext()) as pool:
-        outcomes = pool.map(extract, rows) if pool else map(extract, rows)
-        for row, outcome in zip(rows, outcomes):
-            if not isinstance(outcome, GliomicsError):
-                results.append(outcome)
-            elif args.skip_errors:
-                log.warning("skipping %s: %s", row["subject_id"], outcome)
-            else:
-                if pool:
-                    # map() queued every subject; leaving the block would
-                    # wait for all of them
-                    pool.shutdown(cancel_futures=True)
-                raise outcome
+    outcomes = worker_map(extract, rows, args.jobs, ProcessPoolExecutor)
+    for row, outcome in zip(rows, outcomes):
+        if not isinstance(outcome, GliomicsError):
+            results.append(outcome)
+        elif args.skip_errors:
+            log.warning("skipping %s: %s", row["subject_id"], outcome)
+        else:
+            outcomes.close()    # cancels the subjects still queued
+            raise outcome
     if not results:
         raise GliomicsError("no subject could be processed")
     results.sort(key=lambda r: r[0])
@@ -208,6 +199,50 @@ def cmd_volumetrics(args) -> int:
 
 # -------------------------------------------------------------- train-eval
 
+def _cost_rank(key) -> tuple:
+    """A distinct cell's place in the queue, the costliest first so that no
+    long cell runs alone at the end: linear-kernel SVM cells took 64% of the
+    default study, and within a classifier ``all`` costs most, then II-III."""
+    _, classifier, experiment = key
+    return (classifier != "svm-linear",
+            {"all": 0, "II-III": 1}.get(experiment, 2))
+
+
+class _Records(logging.Handler):
+    """Keeps the records it is handed, each message formatted, so that the
+    records pickle whatever their arguments were."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        record.msg, record.args = record.getMessage(), None
+        self.records.append(record)
+
+
+def _train_cell(cell: dict, level: int):
+    """``run_experiment(**cell)`` and the log records it made, held back so
+    that ``cmd_train_eval`` emits them in the serial order for any worker
+    count.  ``level`` is the caller's, for a worker process that did not
+    inherit its logging set-up.
+
+    Worker processes get this function by reference, so it must be a
+    module-level function of its own: whatever rebinds ``run_experiment``
+    makes that name no longer pickle by reference."""
+    saved = log.level, log.propagate
+    captured = _Records()
+    log.addHandler(captured)
+    log.setLevel(level)
+    log.propagate = False
+    try:
+        return run_experiment(**cell), captured.records
+    finally:
+        log.removeHandler(captured)
+        log.setLevel(saved[0])
+        log.propagate = saved[1]
+
+
 def cmd_train_eval(args) -> int:
     config = _load_config(args.config)
     classifiers = _config_names(config, "classifiers", CLASSIFIERS)
@@ -234,10 +269,10 @@ def cmd_train_eval(args) -> int:
     prov = _provenance(args.seed, {
         "classifiers": classifiers, "experiments": experiments,
         "n_runs": n_runs, "train": asdict(cfg)})
-    summaries, reports = [], {}
     # every run's seed and settings are the grid's, so equal rows give equal
-    # summaries: the shape table repeats its rows under every modality
-    trained = {}
+    # summaries: the shape table repeats its rows under every modality, and
+    # each distinct (rows, classifier, experiment) trains once
+    cells, distinct = [], {}
     for kind, (_, meta, X) in tables.items():
         by_modality = {}
         for i, m in enumerate(meta):
@@ -250,24 +285,46 @@ def cmd_train_eval(args) -> int:
             for classifier in classifiers:
                 for experiment in experiments:
                     key = (rows, classifier, experiment)
-                    if key in trained:
-                        s = replace(trained[key], modality=modality)
-                    else:
-                        s = trained[key] = run_experiment(
-                            Xm, grades, experiment, classifier, cfg,
-                            n_runs=n_runs, seed0=args.seed, kind=kind,
-                            modality=modality)
-                    summaries.append(s)
-                    report = asdict(s)
-                    report["per_run"] = report.pop("runs")
-                    report["provenance"] = prov
-                    name = f"report_{kind}_{modality}_{classifier}_{experiment}.json"
-                    reports[name] = report
+                    cells.append((key, modality))
+                    distinct.setdefault(key, {
+                        "X": Xm, "grades": grades, "experiment": experiment,
+                        "classifier": classifier, "cfg": cfg,
+                        "n_runs": n_runs, "seed0": args.seed, "kind": kind,
+                        "modality": modality})
+    order = sorted(distinct, key=_cost_rank)
+    workers = min(worker_count(), len(order))
+    start = time.perf_counter()
+    train = partial(_train_cell, level=log.getEffectiveLevel())
+    trained = {}
+    try:
+        for key, result in zip(order, worker_map(
+                train, [distinct[k] for k in order], workers,
+                ProcessPoolExecutor)):
+            trained[key] = result
+    finally:
+        # the records of every cell trained, failed grid or not, in the
+        # order the cells would train in serially
+        for key in distinct:
+            for record in trained.get(key, (None, ()))[1]:
+                logging.getLogger(record.name).handle(record)
+    summaries, reports = [], {}
+    for key, modality in cells:
+        s = replace(trained[key][0], modality=modality)
+        summaries.append(s)
+        report = asdict(s)
+        report["per_run"] = report.pop("runs")
+        report["provenance"] = prov
+        name = (f"report_{s.kind}_{modality}_{s.classifier}_"
+                f"{s.experiment}.json")
+        reports[name] = report
     # nothing is written until the whole grid has run
     for name, report in reports.items():
         write_json(out / name, report)
     write_csv(out / "summary.csv", summary_csv_rows(summaries), prov)
-    log.info("wrote %s", out / "summary.csv")
+    log.info("wrote %s: %d cells, %d trained, %d reused, %d worker "
+             "processes, %.2f s", out / "summary.csv", len(cells),
+             len(distinct), len(cells) - len(distinct), workers,
+             time.perf_counter() - start)
     return 0
 
 

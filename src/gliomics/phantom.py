@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -288,11 +287,12 @@ def smooth_blob_volume(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0),
     return Volume(arr, spacing, np.diag([*spacing, 1.0]))
 
 
-# Most threads stream_cohort starts.  Threads beyond the usable CPUs only
-# contend: on a 2-core host 2 threads took the 18/14/25 cohort from 1.40 s
-# to 0.86-0.92 s, and 3 or 4 threads took longer than 2.  The cap bounds the
-# subjects held at once and the contention for the interpreter lock on
-# larger hosts, where no thread count has been measured.
+# The most workers worker_count() returns, for phantom's threads and
+# train-eval's processes.  Workers beyond the usable CPUs only contend: on a
+# 2-core host 2 threads took the 18/14/25 cohort from 1.40 s to 0.86-0.92 s,
+# and 3 or 4 threads took longer than 2.  The cap bounds the subjects held
+# at once, the contention for the interpreter lock and the processes started
+# on larger hosts, where no worker count has been measured.
 MAX_WORKERS = 4
 
 
@@ -303,6 +303,23 @@ def worker_count() -> int:
     except AttributeError:      # no affinity call (macOS, Windows)
         cpus = os.cpu_count() or 1
     return max(1, min(cpus, MAX_WORKERS))
+
+
+def worker_map(fn, items: list, workers: int, executor):
+    """``fn`` over ``items`` on up to ``workers`` workers of ``executor``, a
+    thread or process pool class; yields the results in input order.
+
+    One worker runs in the calling thread, with no pool.  A pool starts all
+    its workers at once, so it gets no more than there are items.  Once
+    ``fn`` raises, or the caller stops reading, the items still queued are
+    cancelled: ``Executor.map`` cancels them when it is closed.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with executor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
 
 
 def _extension(compress: bool) -> str:
@@ -347,9 +364,8 @@ def stream_cohort(specs, outdir, workers: int, compress: bool = True) -> Path:
 
     Each thread holds one subject at a time, and a subject's arrays are
     freed once its files are written.  Much of the work, deflate above all,
-    runs outside the interpreter lock.  One worker runs in this thread,
-    with no pool.  If a subject fails, the subjects still queued are
-    cancelled and no manifest is written.
+    runs outside the interpreter lock.  The threads follow ``worker_map``'s
+    rules; if a subject fails, no manifest is written.
     """
     outdir = Path(outdir)
     ext = _extension(compress)
@@ -357,11 +373,8 @@ def stream_cohort(specs, outdir, workers: int, compress: bool = True) -> Path:
     def build_and_write(item):
         return _write_subject(_build_subject(*item), outdir, ext)
 
-    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        # Executor.map cancels the subjects still queued once one raises
-        rows = list(pool.map(build_and_write, specs) if pool
-                    else map(build_and_write, specs))
+    rows = list(worker_map(build_and_write, specs, workers,
+                           ThreadPoolExecutor))
     return _write_manifest(outdir, specs[0][1].modalities, rows)
 
 

@@ -19,6 +19,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from functools import partial
@@ -441,6 +442,8 @@ class TestTrainEvalCommand:
         assert len(payload["per_run"]) == 2
         assert payload["provenance"]["tool_version"] == gliomics.__version__
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched trainer")
     def test_identical_modality_rows_are_trained_once(self, tmp_path,
                                                        monkeypatch):
         rng = np.random.default_rng(6)
@@ -454,40 +457,46 @@ class TestTrainEvalCommand:
             return write_feature_table(tmp_path / "features_v1.csv", rows,
                                        "v1", prov)
 
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append((args[3], args[2], kwargs["modality"]))
-            return run_experiment(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "run_experiment", counting)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classifiers": ["svm-linear", "ann"],
                                    "experiments": ["II-IV", "all"],
                                    "train": {"max_iters": 10}}))
-        argv = ["train-eval", str(table(("t2", "t1_pre", "t1_post"))),
-                "--runs", "2", "--config", str(cfg)]
-        assert main([*argv, "--out", str(tmp_path / "grid")]) == 0
-        # modalities run in sorted order, so t1_post trains and the others
-        # reuse its summaries
-        assert sorted(calls) == [(c, e, "t1_post")
-                                 for c in ("ann", "svm-linear")
-                                 for e in ("II-IV", "all")]
-        reports = {p.name: json.loads(p.read_text())
-                   for p in (tmp_path / "grid").glob("report_*.json")}
-        assert len(reports) == 3 * 4
-        for name, report in reports.items():
-            first = reports[name.replace(f"_{report['modality']}_",
-                                         "_t1_post_")]
-            assert {**report, "modality": "t1_post"} == first
-        # a reused report is byte-equal to one trained afresh from a table
-        # at the same path, so that the provenance matches too
-        table(("t2",))
-        assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
-        assert len(calls) == 4 + 4
-        for fresh in (tmp_path / "fresh").glob("report_*.json"):
-            assert fresh.read_bytes() == \
-                (tmp_path / "grid" / fresh.name).read_bytes()
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "worker_count", lambda n=workers: n)
+            touched = tmp_path / f"touched{workers}"
+            touched.mkdir()
+            monkeypatch.setattr(cli, "run_experiment",
+                                partial(_touch_then_train, touched))
+
+            def calls():
+                return [tuple(p.name.split(",")[:3])
+                        for p in touched.iterdir()]
+
+            grid = tmp_path / f"grid{workers}"
+            argv = ["train-eval", str(table(("t2", "t1_pre", "t1_post"))),
+                    "--runs", "2", "--config", str(cfg)]
+            assert main([*argv, "--out", str(grid)]) == 0
+            # modalities run in sorted order, so t1_post trains and the
+            # others reuse its summaries
+            assert sorted(calls()) == [(c, e, "t1_post")
+                                       for c in ("ann", "svm-linear")
+                                       for e in ("II-IV", "all")]
+            reports = {p.name: json.loads(p.read_text())
+                       for p in grid.glob("report_*.json")}
+            assert len(reports) == 3 * 4
+            for name, report in reports.items():
+                first = reports[name.replace(f"_{report['modality']}_",
+                                             "_t1_post_")]
+                assert {**report, "modality": "t1_post"} == first
+            # a reused report is byte-equal to one trained afresh from a
+            # table at the same path, so that the provenance matches too
+            table(("t2",))
+            fresh = tmp_path / f"fresh{workers}"
+            assert main([*argv, "--out", str(fresh)]) == 0
+            assert len(calls()) == 4 + 4
+            for report in fresh.glob("report_*.json"):
+                assert report.read_bytes() == \
+                    (grid / report.name).read_bytes()
 
     def test_two_tables_of_one_kind_exit_2(self, feature_dir, tmp_path,
                                            monkeypatch, caplog):
@@ -636,6 +645,134 @@ class TestTrainEvalCommand:
                             for p in (tmp_path / f"o{i}").iterdir()})
         assert len(outputs[0]) == 1 + 12       # summary, 3 x 4 reports
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _touch_then_train(touched, **cell):
+    """``run_experiment`` that first leaves a marker file per call in
+    ``touched``, named for the cell's classifier, experiment and modality,
+    so that a test can count the cells worker processes trained."""
+    prefix = ",".join((cell["classifier"], cell["experiment"],
+                       cell["modality"], ""))
+    os.close(tempfile.mkstemp(prefix=prefix, dir=touched)[0])
+    return run_experiment(**cell)
+
+
+def _grid_table(path):
+    """A v1 table of 5 subjects per grade under three modalities: t2 and
+    t1_post hold the same rows, t1_pre others."""
+    rng = np.random.default_rng(9)
+    values = {(g, i): rng.normal(3.0 * g, 1.0, size=(2, 14))
+              for g in (2, 3, 4) for i in range(5)}
+    rows = [(f"s{g}{i}", m, g, v[int(m == "t1_pre")])
+            for m in ("t2", "t1_pre", "t1_post")
+            for (g, i), v in values.items()]
+    return write_feature_table(path, rows, "v1",
+                               {"tool_version": "0", "seed": 0,
+                                "config_digest": "0" * 16})
+
+
+class TestTrainEvalWorkers:
+    """``train-eval`` trains its distinct cells on worker processes, the
+    costliest first, and writes the serial run's bytes."""
+
+    def test_same_bytes_and_debug_lines_for_any_worker_count(
+            self, tmp_path, monkeypatch, caplog):
+        table = _grid_table(tmp_path / "features_v1.csv")
+        trees, lines = {}, {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cli, "worker_count", lambda n=workers: n)
+            out = tmp_path / str(workers)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="gliomics"):
+                assert main(["train-eval", str(table), "--runs", "2",
+                             "--out", str(out)]) == 0
+            trees[workers] = _tree(out)
+            lines[workers] = [r.getMessage() for r in caplog.records
+                              if r.levelno == logging.DEBUG]
+        assert len(trees[1]) == 1 + 3 * 12     # summary, 3 x 12 reports
+        assert trees[1] == trees[2] == trees[3]
+        # 2 runs x 4 experiments x 2 kernels, for t1_post and t1_pre
+        assert sum("svm grid" in ln for ln in lines[1]) == 2 * 16
+        assert lines[1] == lines[2] == lines[3]
+
+    def test_one_worker_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker must not start a pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "worker_count", lambda: 1)
+        table = _grid_table(tmp_path / "features_v1.csv")
+        assert main(["train-eval", str(table), "--runs", "1",
+                     "--out", str(tmp_path / "reports")]) == 0
+        assert len(list((tmp_path / "reports").iterdir())) == 1 + 3 * 12
+
+    def test_class_too_small_exits_4_through_the_pool(
+            self, feature_dir, tmp_path, monkeypatch, caplog):
+        # ann succeeds on every modality; svm-linear fails on the 3/3/3
+        # cohort's one training row per class
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classifiers": ["ann", "svm-linear"],
+                                   "experiments": ["II-IV", "all"],
+                                   "train": {"max_iters": 10}}))
+        errors = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "worker_count", lambda n=workers: n)
+            out = tmp_path / str(workers)
+            caplog.clear()
+            assert main(["train-eval", str(feature_dir / "features_v1.csv"),
+                         "--out", str(out), "--runs", "1",
+                         "--config", str(cfg)]) == 4
+            assert not out.exists()
+            errors[workers] = [r.getMessage() for r in caplog.records
+                               if r.levelno == logging.ERROR]
+        # the first failure in submission order, whichever finished first
+        assert errors[1] == errors[2]
+        assert errors[1][0].startswith("training failed: run 0 (seed 0) of "
+                                       "all/svm-linear failed:")
+
+    def test_failed_grid_logs_the_cells_trained_before_it(
+            self, tmp_path, monkeypatch, caplog):
+        # three grade IV subjects leave II-IV one training row of grade IV,
+        # below the SVM minimum; II-III goes first in the queue and trains
+        rng = np.random.default_rng(4)
+        rows = [(f"s{g}{i}", "t2", g, rng.normal(10.0 * g, 1.0, size=14))
+                for g, n in ((2, 5), (3, 5), (4, 3)) for i in range(n)]
+        table = write_feature_table(tmp_path / "features_v1.csv", rows, "v1",
+                                    {"tool_version": "0", "seed": 0,
+                                     "config_digest": "0" * 16})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classifiers": ["svm-rbf"],
+                                   "experiments": ["II-IV", "II-III"]}))
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "worker_count", lambda n=workers: n)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="gliomics"):
+                assert main(["train-eval", str(table), "--runs", "2",
+                             "--config", str(cfg),
+                             "--out", str(tmp_path / str(workers))]) == 4
+            # one line per run of II-III, then the failure
+            messages = [r.getMessage() for r in caplog.records]
+            assert [m.split(":")[0] for m in messages] == \
+                ["svm grid rbf"] * 2 + ["training failed"]
+
+    def test_info_line_on_stderr(self, feature_dir, tmp_path, monkeypatch,
+                                 caplog, capsys):
+        monkeypatch.setattr(cli, "worker_count", lambda: 2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classifiers": ["ann"],
+                                   "experiments": ["II-IV", "III-IV"],
+                                   "train": {"max_iters": 10}}))
+        with caplog.at_level(logging.INFO, logger="gliomics"):
+            assert main(["train-eval", str(feature_dir / "features_shape.csv"),
+                         "--out", str(tmp_path), "--runs", "1",
+                         "--config", str(cfg)]) == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.levelno == logging.INFO]
+        # the shape table repeats each subject's row under all 3 modalities
+        assert re.fullmatch(r"wrote \S+summary\.csv: 6 cells, 2 trained, "
+                            r"4 reused, 2 worker processes, \d+\.\d\d s",
+                            line), line
+        assert capsys.readouterr().out == ""
 
 
 class TestSubtractCommand:
