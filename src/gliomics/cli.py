@@ -34,7 +34,7 @@ from .experiments import (CLASSIFIERS, EXPERIMENTS, read_feature_table,
                           run_experiment, summary_csv_rows,
                           write_feature_table)
 from .features import KIND_LENGTHS, build_kind, shape_block
-from .phantom import (cohort_specs, read_manifest, stream_cohort,
+from .phantom import (DIMS, cohort_specs, read_manifest, stream_cohort,
                       worker_count, worker_map)
 from .registration import EsConfig, MiConfig, register_rigid, subtraction_map
 from .stats import dunn_posthoc, kruskal_wallis
@@ -365,22 +365,20 @@ def cmd_stats(args) -> int:
 def cmd_phantom(args) -> int:
     try:
         n_per_grade = tuple(int(x) for x in args.n_per_grade.split(","))
-        dims = tuple(int(x) for x in args.dims.split(","))
     except ValueError as exc:
         raise GliomicsError(f"bad integer list: {exc}") from exc
-    if len(n_per_grade) != 3 or len(dims) != 3:
-        raise GliomicsError("n-per-grade and dims need exactly three values")
+    if len(n_per_grade) != 3:
+        raise GliomicsError("n-per-grade needs exactly three values")
     try:
-        specs = cohort_specs(n_per_grade=n_per_grade, base_seed=args.seed,
-                             dims=dims)
+        specs = cohort_specs(n_per_grade=n_per_grade, base_seed=args.seed)
     except ValueError as exc:   # sizes the phantom model cannot build
         raise GliomicsError(f"bad cohort size: {exc}") from exc
     out = Path(args.out)
     workers = worker_count()
     start = time.perf_counter()
-    manifest = stream_cohort(specs, out, workers,
-                             compress=not args.no_compress)
-    prov = _provenance(args.seed, {"n_per_grade": n_per_grade, "dims": dims})
+    manifest = stream_cohort(specs, out, workers)
+    # the grid is fixed, but it describes the data, so the digest covers it
+    prov = _provenance(args.seed, {"n_per_grade": n_per_grade, "dims": DIMS})
     write_json(out / "provenance.json", prov)
     n_files = len(specs) * (1 + len(specs[0][1].modalities)) + 2
     log.info("wrote %s: %d subjects, %d files, %d worker threads, %.2f s",
@@ -448,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phantom", help="generate a synthetic cohort")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-per-grade", default="18,14,25")
-    p.add_argument("--dims", default="32,32,32")
-    p.add_argument("--no-compress", action="store_true")
     common(p)
     p.set_defaults(func=cmd_phantom)
     return parser

@@ -43,11 +43,7 @@ class LabelOutOfRange(GliomicsError):
         return type(self), (self.value, self.index)
 
 
-# --- geometry / resampling ------------------------------------------------
-
-class ModeMismatch(GliomicsError):
-    """Linear interpolation requested for a label map."""
-
+# --- geometry ---------------------------------------------------------------
 
 class GeometryMismatch(GliomicsError):
     pass

@@ -18,7 +18,7 @@ from .artifacts import read_csv, write_csv
 from .classify import TrainConfig, fit_standardizer, select_svm_hyperparams
 from .errors import GliomicsError
 from .evaluate import roc_auc, stratified_split
-from .features import KIND_LENGTHS, build_kind
+from .features import KIND_LENGTHS
 from .mlp import train_mlp
 
 EXPERIMENTS = (
@@ -86,16 +86,10 @@ def run_once(X: np.ndarray, grades: np.ndarray, classifier: str,
     classes = model.classes
 
     accuracy = float(np.mean(pred == y_te))
-    if len(classes) == 2:
-        # ranked by the higher grade's column: the SVM's two columns are
-        # exact negatives, and that is the one its model holds
-        y_bin = (y_te == classes[1]).astype(int)
-        if y_bin.min() == y_bin.max():
-            auc = float("nan")
-        else:
-            _, auc = roc_auc(scores[:, 1], y_bin)
-    else:
-        auc = _ovr_auc(scores, y_te, classes)
+    # two grades are ranked by the higher grade's column alone: the SVM's
+    # two columns are exact negatives, and that is the one its model holds
+    first = 1 if len(classes) == 2 else 0
+    auc = _ovr_auc(scores[:, first:], y_te, classes[first:])
     return RunResult(seed, accuracy, auc)
 
 
@@ -127,16 +121,6 @@ def run_experiment(X: np.ndarray, grades: np.ndarray, experiment: str,
         float(accs.mean()), float(accs.max()),
         float(finite.mean()) if finite.size else float("nan"),
         float(finite.max()) if finite.size else float("nan"))
-
-
-def cohort_feature_matrix(cohort, modality: str, kind: str):
-    """Stack one feature vector per subject -> (X, grades)."""
-    rows, grades = [], []
-    for sub in cohort.subjects:
-        rows.append(build_kind(kind, sub.volumes[modality],
-                               sub.labelmap).values)
-        grades.append(sub.grade)
-    return np.vstack(rows), np.asarray(grades)
 
 
 def write_feature_table(path, rows, kind: str, provenance: dict):

@@ -65,8 +65,9 @@ COHORT_RATIO_MODEL = {
 
 DEFAULT_MODALITIES = ("t1_pre", "t1_post", "t2")
 
-# Every phantom sits on a 1 mm isotropic grid, so voxel and millimetre
-# distances agree.
+# Every phantom sits on one 32^3 grid of 1 mm isotropic voxels, so voxel and
+# millimetre distances agree.
+DIMS = (32, 32, 32)
 SPACING = (1.0, 1.0, 1.0)
 ENVELOPE_FRACTION = 0.65    # tumor semi-axes as fraction of half-extent
 HETEROGENEITY_SHIFT = 3.0   # second-component offset, in sd units
@@ -81,7 +82,6 @@ BLOB_SIGMA_RANGE = (1.5, 3.5)
 class PhantomSpec:
     grade: int
     ratios: dict = None               # label -> percent; defaults to medians
-    dims: tuple = (32, 32, 32)
     modalities: tuple = DEFAULT_MODALITIES
     heterogeneity: float = None       # second-component mixture weight
     seed: int = 0
@@ -89,8 +89,6 @@ class PhantomSpec:
     def __post_init__(self):
         if self.grade not in (2, 3, 4):
             raise ValueError(f"grade must be 2, 3 or 4, got {self.grade}")
-        if any(d < 32 for d in self.dims):
-            raise ValueError(f"dims must be at least 32 per axis, got {self.dims}")
         if self.ratios is None:
             object.__setattr__(self, "ratios", dict(MEDIAN_RATIOS[self.grade]))
         total = sum(self.ratios.values())
@@ -116,26 +114,23 @@ class Cohort:
         return len(self.subjects)
 
 
-def _ellipsoid_radius(dims, center_idx, semi_axes) -> np.ndarray:
-    grids = np.ogrid[0:dims[0], 0:dims[1], 0:dims[2]]
-    r2 = np.zeros(dims)
+def _ellipsoid_radius(center_idx, semi_axes) -> np.ndarray:
+    grids = np.ogrid[0:DIMS[0], 0:DIMS[1], 0:DIMS[2]]
+    r2 = np.zeros(DIMS)
     for ax in range(3):
         r2 = r2 + ((grids[ax] - center_idx[ax]) / semi_axes[ax]) ** 2
     return np.sqrt(r2)
 
 
 def _assign_labels(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
-    dims = spec.dims
-    half = np.asarray(dims) / 2.0
-    axes = ENVELOPE_FRACTION * half * rng.uniform(0.8, 1.0, size=3)
-    center = (np.asarray(dims) - 1) / 2.0 + rng.uniform(-0.05, 0.05, size=3) * np.asarray(dims)
-    r = _ellipsoid_radius(dims, center, axes)
+    dims = np.asarray(DIMS)
+    axes = ENVELOPE_FRACTION * (dims / 2.0) * rng.uniform(0.8, 1.0, size=3)
+    center = (dims - 1) / 2.0 + rng.uniform(-0.05, 0.05, size=3) * dims
+    r = _ellipsoid_radius(center, axes)
 
+    # the envelope holds at least 4/3 pi (0.52 * 16)^3, about 2,400 voxels
     env_flat = np.flatnonzero((r <= 1.0).ravel())
     n_env = env_flat.size
-    if n_env < 64:
-        raise InfeasibleRatios(
-            f"envelope holds only {n_env} voxels inside dims {dims}")
 
     counts = {}
     for lab in (1, 2, 4, 5):
@@ -148,7 +143,7 @@ def _assign_labels(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
     r_env = r.ravel()[env_flat]
     order = env_flat[np.lexsort((env_flat, r_env))]  # inside-out, deterministic
 
-    labels = np.zeros(int(np.prod(dims)), dtype=np.int16)
+    labels = np.zeros(int(np.prod(DIMS)), dtype=np.int16)
     pos = 0
     # strict radial nesting for the core; necrosis innermost, edema outermost
     for lab in (5, 2):
@@ -158,7 +153,7 @@ def _assign_labels(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
 
     # non-enhancing and cyst become side lobes: bias the ordering score along
     # a random direction so they are not perfect concentric shells
-    coords = np.stack(np.unravel_index(remaining, dims)).astype(float)
+    coords = np.stack(np.unravel_index(remaining, DIMS)).astype(float)
     centered = coords - center[:, None]
     rem_r = r.ravel()[remaining]
     taken = np.zeros(remaining.size, dtype=bool)
@@ -173,7 +168,7 @@ def _assign_labels(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
         labels[remaining[pick]] = lab
         taken[pick] = True
     labels[remaining[~taken]] = 1  # edema fills the outer remainder
-    return labels.reshape(dims)
+    return labels.reshape(DIMS)
 
 
 def _synth_modality(labels: np.ndarray, table: dict, weight: float,
@@ -225,14 +220,13 @@ def sample_cohort_ratios(grade: int, rng: np.random.Generator) -> dict:
     return {lab: 100.0 * v / total for lab, v in raw.items()}
 
 
-def cohort_specs(n_per_grade=(18, 14, 25), base_seed: int = 0,
-                 dims=(32, 32, 32)) -> list:
+def cohort_specs(n_per_grade=(18, 14, 25), base_seed: int = 0) -> list:
     """Every subject's (subject_id, PhantomSpec), in cohort order.
 
-    ``n_per_grade`` maps onto grades (II, III, IV).  Subjects share one grid;
-    each gets its own derived seed, so cohorts are reproducible and subjects
-    independent.  Sizes the model cannot build raise ValueError here, before
-    any volume is made.
+    ``n_per_grade`` maps onto grades (II, III, IV).  Each subject gets its
+    own derived seed, so cohorts are reproducible and subjects independent.
+    Sizes the model cannot build raise ValueError here, before any volume
+    is made.
     """
     if min(n_per_grade) < 3:
         raise ValueError("need at least 3 subjects per grade")
@@ -244,8 +238,7 @@ def cohort_specs(n_per_grade=(18, 14, 25), base_seed: int = 0,
             ratios = sample_cohort_ratios(grade, rng)
             het = float(np.clip(HETEROGENEITY[grade] + rng.uniform(-0.03, 0.03),
                                 0.02, 0.6))
-            spec = PhantomSpec(grade=grade, ratios=ratios, dims=dims,
-                               heterogeneity=het,
+            spec = PhantomSpec(grade=grade, ratios=ratios, heterogeneity=het,
                                seed=int(rng.integers(2 ** 31)))
             specs.append((f"g{grade}_{i:03d}", spec))
     return specs
@@ -256,12 +249,11 @@ def _build_subject(subject_id: str, spec: PhantomSpec) -> PhantomSubject:
     return PhantomSubject(subject_id, spec.grade, vols, lm)
 
 
-def generate_cohort(n_per_grade=(18, 14, 25), base_seed: int = 0,
-                    dims=(32, 32, 32)) -> Cohort:
+def generate_cohort(n_per_grade=(18, 14, 25), base_seed: int = 0) -> Cohort:
     """Generate a graded cohort with per-subject jittered composition; the
     subjects of ``cohort_specs``, all held in memory."""
     return Cohort(tuple(_build_subject(*item) for item in
-                        cohort_specs(n_per_grade, base_seed, dims)))
+                        cohort_specs(n_per_grade, base_seed)))
 
 
 def smooth_blob_volume(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0),
@@ -322,17 +314,13 @@ def worker_map(fn, items: list, workers: int, executor):
         yield from pool.map(fn, items)
 
 
-def _extension(compress: bool) -> str:
-    return ".nii.gz" if compress else ".nii"
-
-
-def _write_subject(sub: PhantomSubject, outdir: Path, ext: str) -> list:
+def _write_subject(sub: PhantomSubject, outdir: Path) -> list:
     """Write one subject's label map and volumes; returns its manifest row."""
-    seg_name = f"{sub.subject_id}_seg{ext}"
+    seg_name = f"{sub.subject_id}_seg.nii.gz"
     save_labelmap(sub.labelmap, outdir / seg_name)
     row = [sub.subject_id, str(sub.grade), seg_name]
     for modality, vol in sub.volumes.items():
-        name = f"{sub.subject_id}_{modality}{ext}"
+        name = f"{sub.subject_id}_{modality}.nii.gz"
         save_volume(vol, outdir / name)
         row.append(name)
     return row
@@ -343,8 +331,8 @@ def _write_manifest(outdir: Path, modalities, rows) -> Path:
     return write_csv(outdir / "manifest.csv", table)
 
 
-def write_cohort(cohort: Cohort, outdir, compress: bool = True) -> Path:
-    """Write all volumes/label maps as NIfTI plus a manifest CSV.
+def write_cohort(cohort: Cohort, outdir) -> Path:
+    """Write all volumes/label maps as .nii.gz plus a manifest CSV.
 
     Returns the manifest path.  Manifest columns: subject_id, grade,
     labelmap, then one column per modality; paths are relative to the
@@ -352,12 +340,11 @@ def write_cohort(cohort: Cohort, outdir, compress: bool = True) -> Path:
     files that exist.
     """
     outdir = Path(outdir)
-    rows = [_write_subject(sub, outdir, _extension(compress))
-            for sub in cohort.subjects]
+    rows = [_write_subject(sub, outdir) for sub in cohort.subjects]
     return _write_manifest(outdir, list(cohort.subjects[0].volumes), rows)
 
 
-def stream_cohort(specs, outdir, workers: int, compress: bool = True) -> Path:
+def stream_cohort(specs, outdir, workers: int) -> Path:
     """Build and write the subjects of ``specs`` on ``workers`` threads,
     then the manifest; the same files as ``write_cohort`` of the same
     subjects, byte for byte, for any ``workers``.
@@ -368,10 +355,9 @@ def stream_cohort(specs, outdir, workers: int, compress: bool = True) -> Path:
     rules; if a subject fails, no manifest is written.
     """
     outdir = Path(outdir)
-    ext = _extension(compress)
 
     def build_and_write(item):
-        return _write_subject(_build_subject(*item), outdir, ext)
+        return _write_subject(_build_subject(*item), outdir)
 
     rows = list(worker_map(build_and_write, specs, workers,
                            ThreadPoolExecutor))

@@ -113,14 +113,6 @@ class RigidTransform:
         m[:3, 3] = c + np.asarray(self.translation) - rot @ c
         return m
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map world points, shape (3,) or (3, n)."""
-        m = self.matrix()
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return m[:3, :3] @ pts + m[:3, 3]
-        return m[:3, :3] @ pts + m[:3, 3:4]
-
     @classmethod
     def from_matrix(cls, m: np.ndarray, center) -> "RigidTransform":
         rot = np.asarray(m)[:3, :3]
@@ -128,9 +120,6 @@ class RigidTransform:
         c = np.asarray(center, dtype=float)
         t = np.asarray(m)[:3, 3] - (c - rot @ c)
         return cls(tuple(angles), tuple(t), tuple(c))
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform.from_matrix(np.linalg.inv(self.matrix()), self.center)
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Transform equal to applying ``other`` first, then ``self``."""

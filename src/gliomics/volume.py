@@ -13,7 +13,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from . import nifti
-from .errors import LabelOutOfRange, ModeMismatch, UnsupportedDatatype
+from .errors import LabelOutOfRange, UnsupportedDatatype
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True)
@@ -142,9 +142,9 @@ def load_volume(path) -> Volume:
     return Volume(parsed.data, parsed.spacing, parsed.affine)
 
 
-def save_volume(vol: Volume, path, dtype=np.float32) -> None:
-    """Write a volume; float32 payloads round-trip bit-exactly."""
-    nifti.write_nifti(path, vol.data, vol.spacing, vol.affine, dtype)
+def save_volume(vol: Volume, path) -> None:
+    """Write a volume as float32; float32 payloads round-trip bit-exactly."""
+    nifti.write_nifti(path, vol.data, vol.spacing, vol.affine, np.float32)
 
 
 def load_labelmap(path) -> LabelMap:
@@ -174,28 +174,17 @@ def _target_to_source_coords(src_affine, target: GridGeometry,
     return inv[:3, :3] @ world + inv[:3, 3:4]
 
 
-def resample(src, target: GridGeometry, mode: str | None = None,
-             world_map: np.ndarray | None = None):
-    """Resample a Volume or LabelMap onto ``target``.
+def resample(src: Volume, target: GridGeometry, mode: str = "linear",
+             world_map: np.ndarray | None = None) -> Volume:
+    """Resample a Volume onto ``target``.
 
-    ``mode`` is "linear" or "nearest"; label maps only allow nearest (the
-    default for them) so labels are never blended.  ``world_map`` optionally
-    applies a 4x4 world->world transform (used to push an image through a
+    ``mode`` is "linear" or "nearest".  ``world_map`` optionally applies a
+    4x4 world->world transform (used to push an image through a
     registration result).  Samples falling outside the source grid are 0.
     """
-    is_labels = isinstance(src, LabelMap)
-    if mode is None:
-        mode = "nearest" if is_labels else "linear"
     if mode not in ("linear", "nearest"):
         raise ValueError(f"unknown mode {mode!r}")
-    if is_labels and mode == "linear":
-        raise ModeMismatch("label maps must be resampled with nearest mode")
-
     coords = _target_to_source_coords(src.affine, target, world_map)
-    order = 1 if mode == "linear" else 0
-    out = map_coordinates(src.data.astype(np.float64), coords.reshape(3, -1),
-                          order=order, mode="constant", cval=0.0)
-    out = out.reshape(target.dims)
-    if is_labels:
-        return LabelMap(np.rint(out).astype(np.int16), target.spacing, target.affine)
-    return Volume(out, target.spacing, target.affine)
+    out = map_coordinates(src.data, coords, order=1 if mode == "linear" else 0,
+                          mode="constant", cval=0.0)
+    return Volume(out.reshape(target.dims), target.spacing, target.affine)

@@ -21,15 +21,15 @@ from test_stats import mann_whitney_p
 from gliomics.classify import fit_standardizer
 from gliomics.cli import main
 from gliomics.evaluate import roc_auc
-from gliomics.features import (TUMOR_LABELS, ellipse_perimeter, extract_all,
-                               region_histogram, shannon_entropy,
+from gliomics.features import (TUMOR_LABELS, build_kind, ellipse_perimeter,
+                               extract_all, region_histogram, shannon_entropy,
                                shape_features)
 from gliomics.mlp import init_params, mlp_gradient_check, train_mlp
 from gliomics.phantom import (PhantomSpec, generate_cohort, generate_phantom,
                               sample_cohort_ratios, smooth_blob_volume)
 from gliomics.registration import (EsConfig, MiConfig, RigidTransform,
                                    register_rigid, subtraction_map)
-from gliomics.experiments import cohort_feature_matrix, run_experiment
+from gliomics.experiments import run_experiment
 from gliomics.stats import chi2_sf, dunn_posthoc, kruskal_wallis
 from gliomics.svm import Kernel, smo_solve, train_svm_binary
 from gliomics.volume import Volume, resample
@@ -302,7 +302,10 @@ def test_criterion_8a_cohort_rank_tests(capsys):
 
 def test_criterion_8b_ann_histogram_separation(capsys):
     t0 = time.perf_counter()
-    X, grades = cohort_feature_matrix(study_cohort(), "t2", "v2")
+    subjects = study_cohort().subjects
+    X = np.vstack([build_kind("v2", s.volumes["t2"], s.labelmap).values
+                   for s in subjects])
+    grades = np.array([s.grade for s in subjects])
     s = run_experiment(X, grades, "II-III", "ann", n_runs=100, seed0=0,
                        kind="v2", modality="t2")
     elapsed = time.perf_counter() - t0

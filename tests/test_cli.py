@@ -31,10 +31,10 @@ import pytest
 import gliomics
 from gliomics import cli, features, phantom
 from gliomics.cli import build_parser, main
-from gliomics.errors import IoFailure
+from gliomics.errors import BadMagic, IoFailure, LabelOutOfRange
 from gliomics.experiments import run_experiment, write_feature_table
 from gliomics.nifti import VOX_OFFSET, read_nifti
-from gliomics.phantom import generate_cohort, write_cohort
+from gliomics.phantom import generate_cohort, read_manifest, write_cohort
 from gliomics.registration import EsConfig, MiConfig
 from gliomics.volume import Volume, load_volume, save_volume
 
@@ -43,7 +43,7 @@ from gliomics.volume import Volume, load_volume, save_volume
 def cohort_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cohort")
     rc = main(["phantom", "--out", str(d), "--n-per-grade", "3,3,3",
-               "--no-compress", "--seed", "11"])
+               "--seed", "11"])
     assert rc == 0
     return d
 
@@ -69,8 +69,8 @@ def volumetrics_csv(cohort_dir, tmp_path_factory):
 class TestPhantomCommand:
     def test_layout(self, cohort_dir):
         assert (cohort_dir / "manifest.csv").is_file()
-        assert len(list(cohort_dir.glob("*_seg.nii"))) == 9
-        assert len(list(cohort_dir.glob("*_t2.nii"))) == 9
+        assert len(list(cohort_dir.glob("*_seg.nii.gz"))) == 9
+        assert len(list(cohort_dir.glob("*_t2.nii.gz"))) == 9
         prov = json.loads((cohort_dir / "provenance.json").read_text())
         assert prov["tool_version"] == gliomics.__version__
         assert prov["seed"] == 11
@@ -80,11 +80,21 @@ class TestPhantomCommand:
         assert main(["phantom", "--out", str(tmp_path), "--n-per-grade",
                      "3,3"]) == 2
 
-    @pytest.mark.parametrize("flag, value", [("--n-per-grade", "1,1,1"),
-                                             ("--dims", "20,20,20")])
+    @pytest.mark.parametrize("flag, value", [("--n-per-grade", "1,1,1")])
     def test_sizes_the_phantom_cannot_build(self, tmp_path, flag, value):
         out = tmp_path / "cohort"
         assert main(["phantom", "--out", str(out), flag, value]) == 2
+        assert not out.exists()
+
+    # the grid is always 32^3 and the files always .nii.gz
+    @pytest.mark.parametrize("flag", [["--dims", "32,32,32"],
+                                      ["--no-compress"]])
+    def test_grid_and_format_flags_rejected(self, tmp_path, flag, capsys):
+        out = tmp_path / "cohort"
+        with pytest.raises(SystemExit) as exc:
+            main(["phantom", "--out", str(out), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -153,7 +163,7 @@ class TestPhantomStreaming:
         monkeypatch.setattr(cli, "worker_count", lambda: 2)
         with caplog.at_level(logging.INFO, logger="gliomics"):
             assert main(["phantom", "--out", str(tmp_path), "--n-per-grade",
-                         "3,3,3", "--no-compress"]) == 0
+                         "3,3,3"]) == 0
         [line] = [r.getMessage() for r in caplog.records
                   if r.levelno == logging.INFO]
         assert re.fullmatch(r"wrote \S+manifest\.csv: 9 subjects, 38 files, "
@@ -248,8 +258,12 @@ class TestFeaturesCommand:
                                                    corrupt, jobs):
         broken = tmp_path / "broken"
         shutil.copytree(cohort_dir, broken)
-        subject = CORRUPTIONS[corrupt](broken)
+        corruption, error = CORRUPTIONS[corrupt]
+        subject = corruption(broken)
         manifest = str(broken / "manifest.csv")
+        [row] = [r for r in read_manifest(manifest)[0]
+                 if r["subject_id"] == subject]
+        assert type(cli._extract_subject(row, ["t2"], ["v1"])) is error
         assert main(["features", manifest, "--kinds", "v1", "--jobs", jobs,
                      "--out", str(tmp_path / "o1")]) == 2
         assert not (tmp_path / "o1").exists()
@@ -294,32 +308,34 @@ def _touch_then_extract(touched, row, *args, **kwargs):
 _REAL_EXTRACT = cli._extract_subject
 
 
+# The first two write plain NIfTI bytes back under the .nii.gz name: a
+# reader tells gzip from plain NIfTI by the magic bytes, not the name.
+
 def _truncate_header(cohort):
-    seg = cohort / "g3_001_seg.nii"
-    seg.write_bytes(seg.read_bytes()[:100])         # BadMagic
+    seg = cohort / "g3_001_seg.nii.gz"
+    seg.write_bytes(gzip.decompress(seg.read_bytes())[:100])
     return "g3_001"
 
 
 def _label_7(cohort):
-    seg = cohort / "g2_000_seg.nii"
-    data = bytearray(seg.read_bytes())
-    data[VOX_OFFSET] = 7                            # LabelOutOfRange
+    seg = cohort / "g2_000_seg.nii.gz"
+    data = bytearray(gzip.decompress(seg.read_bytes()))
+    data[VOX_OFFSET] = 7
     seg.write_bytes(bytes(data))
     return "g2_000"
 
 
 def _half_gz(cohort):
-    nii = cohort / "g3_002_t2.nii"
-    packed = gzip.compress(nii.read_bytes())
-    (cohort / "g3_002_t2.nii.gz").write_bytes(packed[:len(packed) // 2])
-    manifest = cohort / "manifest.csv"
-    manifest.write_text(manifest.read_text().replace("g3_002_t2.nii",
-                                                     "g3_002_t2.nii.gz"))
-    return "g3_002"                                 # IoFailure (EOF)
+    nii = cohort / "g3_002_t2.nii.gz"
+    packed = nii.read_bytes()
+    nii.write_bytes(packed[:len(packed) // 2])
+    return "g3_002"
 
 
-CORRUPTIONS = {"truncated_header": _truncate_header, "label_7": _label_7,
-               "half_gz": _half_gz}
+# name -> (corruption, the error the broken subject raises)
+CORRUPTIONS = {"truncated_header": (_truncate_header, BadMagic),
+               "label_7": (_label_7, LabelOutOfRange),
+               "half_gz": (_half_gz, IoFailure)}
 
 
 class TestFeaturesStage:
@@ -777,7 +793,7 @@ class TestTrainEvalWorkers:
 
 class TestSubtractCommand:
     def test_identical_volumes_give_zero_map(self, cohort_dir, tmp_path):
-        pre = cohort_dir / "g2_000_t1_pre.nii"
+        pre = cohort_dir / "g2_000_t1_pre.nii.gz"
         rc = main(["subtract", str(pre), str(pre), "--out", str(tmp_path)])
         assert rc == 0
         sub = read_nifti(tmp_path / "subtraction.nii.gz")
@@ -789,8 +805,8 @@ class TestSubtractCommand:
 
     def test_debug_log_reports_search_and_keeps_bytes(self, cohort_dir,
                                                       tmp_path):
-        argv = ["subtract", str(cohort_dir / "g2_000_t1_pre.nii"),
-                str(cohort_dir / "g2_000_t1_post.nii"), "--seed", "3"]
+        argv = ["subtract", str(cohort_dir / "g2_000_t1_pre.nii.gz"),
+                str(cohort_dir / "g2_000_t1_post.nii.gz"), "--seed", "3"]
         assert main([*argv, "--out", str(tmp_path / "quiet")]) == 0
         out = subprocess.run(
             [sys.executable, "-m", "gliomics", *argv,
@@ -807,7 +823,7 @@ class TestSubtractCommand:
                 (tmp_path / "debug" / name).read_bytes()
 
     def test_provenance_digests_effective_config(self, cohort_dir, tmp_path):
-        pre = str(cohort_dir / "g2_000_t1_pre.nii")
+        pre = str(cohort_dir / "g2_000_t1_pre.nii.gz")
         assert main(["subtract", pre, pre, "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "transform.json").read_text())
         config = {"mi": dataclasses.asdict(MiConfig()),
@@ -817,8 +833,8 @@ class TestSubtractCommand:
 
     def test_no_overlap_exits_3_and_writes_nothing(self, cohort_dir, tmp_path,
                                                    caplog):
-        post = cohort_dir / "g2_000_t1_post.nii"
-        vol = load_volume(cohort_dir / "g2_000_t1_pre.nii")
+        post = cohort_dir / "g2_000_t1_post.nii.gz"
+        vol = load_volume(cohort_dir / "g2_000_t1_pre.nii.gz")
         affine = vol.affine.copy()
         affine[0, 3] += 200.0       # no post voxel maps into the moved pre
         pre = tmp_path / "far_pre.nii"
@@ -836,7 +852,6 @@ class TestSubtractCommand:
 
 class TestRerunIdentity:
     def test_phantom_and_subtract_are_byte_identical(self, tmp_path):
-        # compressed output, so the .nii.gz headers are compared too
         for side in ("a", "b"):
             assert main(["phantom", "--out", str(tmp_path / side),
                          "--n-per-grade", "3,3,3", "--seed", "4"]) == 0
@@ -917,7 +932,7 @@ class TestMalformedCsv:
                                          fault):
         command, source, edit, message = CSV_FAULTS[fault]
         src = {"manifest": cohort_dir / "manifest.csv",
-               "nifti": cohort_dir / "g2_000_t2.nii",
+               "nifti": cohort_dir / "g2_000_t2.nii.gz",
                "features": feature_dir / "features_v1.csv",
                "volumetrics": volumetrics_csv}[source]
         bad = src if edit is None else _edit_csv(src, tmp_path / "bad.csv",

@@ -7,10 +7,10 @@ from gliomics.classify import TrainConfig
 from gliomics.errors import ClassTooSmall, GliomicsError
 from gliomics.experiments import (CLASSIFIERS, EXPERIMENTS,
                                   ExperimentSummary, RunResult,
-                                  cohort_feature_matrix, read_feature_table,
-                                  run_experiment, run_once, summary_csv_rows,
+                                  read_feature_table, run_experiment,
+                                  run_once, summary_csv_rows,
                                   write_feature_table)
-from gliomics.features import KIND_LENGTHS, extract_all
+from gliomics.features import KIND_LENGTHS, shape_block
 from gliomics.phantom import generate_cohort
 
 FAST_CFG = TrainConfig(max_iters=15, svm_c_grid=(1.0,), rbf_gamma_grid=(1.0,))
@@ -84,21 +84,6 @@ class TestFeatureTables:
         assert X.shape == (2, 20)
 
 
-class TestCohortFeatureMatrix:
-    def test_shapes_per_kind(self, tiny_cohort):
-        full = [extract_all(s.volumes["t1_post"], s.labelmap)
-                for s in tiny_cohort.subjects]
-        for kind, n in KIND_LENGTHS.items():
-            X, grades = cohort_feature_matrix(tiny_cohort, "t1_post", kind)
-            assert X.shape == (9, n)
-            assert np.array_equal(grades, np.repeat([2, 3, 4], 3))
-            assert np.array_equal(X, [vecs[kind].values for vecs in full])
-
-    def test_unknown_kind(self, tiny_cohort):
-        with pytest.raises(ValueError, match="unknown feature kind"):
-            cohort_feature_matrix(tiny_cohort, "t1_post", "v9")
-
-
 class TestRunProtocol:
     def test_run_once_fields(self, tiny_matrix):
         X, grades = tiny_matrix
@@ -165,7 +150,9 @@ class TestRunProtocol:
         # at split seed 1 the C = 100 fits of this cell need over a thousand
         # sweeps each; they must still settle within the default limit
         cohort = generate_cohort(n_per_grade=(18, 14, 25), base_seed=0)
-        X, grades = cohort_feature_matrix(cohort, "t2", "shape")
+        X = np.vstack([shape_block(s.labelmap).values
+                       for s in cohort.subjects])
+        grades = np.array([s.grade for s in cohort.subjects])
         s = run_experiment(X, grades, "all", "svm-linear", n_runs=1, seed0=1)
         assert [r.seed for r in s.runs] == [1]
         assert 0.0 <= s.mean_accuracy <= 1.0

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from gliomics.errors import (GeometryMismatch, LengthMismatch,
                              NegativeProbability)
 from gliomics.features import (TUMOR_LABELS, FeatureVector, _component_shape,
-                               _convex_hull, _hull_pixel_count, build_v1,
-                               build_v2, build_v3, connected_components,
-                               ellipse_perimeter, extract_all, intensity_block,
-                               region_histogram, shannon_entropy, shape_block,
-                               shape_features)
+                               _convex_hull, _hull_pixel_count, build_kind,
+                               build_v1, build_v2, build_v3,
+                               connected_components, ellipse_perimeter,
+                               extract_all, intensity_block, region_histogram,
+                               shannon_entropy, shape_block, shape_features)
 from gliomics.volume import LabelMap, Volume
 
 from conftest import make_labelmap
@@ -235,6 +235,11 @@ class TestVectors:
         assert set(out) == {"v1", "v2", "v3", "shape"}
         assert [len(out[k]) for k in ("v1", "v2", "v3", "shape")] == \
             [14, 70, 28, 20]
+
+    def test_unknown_kind(self, small_phantom):
+        vols, lm = small_phantom
+        with pytest.raises(ValueError, match="unknown feature kind"):
+            build_kind("v9", vols["t2"], lm)
 
 
 class TestConnectedComponents:

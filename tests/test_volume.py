@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gliomics import nifti
-from gliomics.errors import LabelOutOfRange, ModeMismatch, UnsupportedDatatype
+from gliomics.errors import LabelOutOfRange, UnsupportedDatatype
 from gliomics.volume import (GridGeometry, LabelMap, Volume, load_labelmap,
                              load_volume, resample, save_labelmap, save_volume)
 
@@ -102,18 +102,14 @@ class TestResample:
         assert np.all(out.data == 0.0)
 
     def test_nearest_preserves_labels(self):
-        data = np.zeros((6, 6, 6), dtype=np.int16)
-        data[2:4, 2:4, 2:4] = 5
-        lm = LabelMap(data, (1, 1, 1), np.eye(4))
-        out = resample(lm, lm.geometry)
-        assert isinstance(out, LabelMap)
-        assert set(np.unique(out.data)) <= {0, 5}
+        data = np.zeros((6, 6, 6))
+        data[2:4, 2:4, 2:4] = 5.0
+        v = vol(data)
+        shift = np.eye(4)
+        shift[:3, 3] = 0.4      # linear would blend 0 and 5 here
+        out = resample(v, v.geometry, mode="nearest", world_map=shift)
+        assert set(np.unique(out.data)) <= {0.0, 5.0}
         assert np.array_equal(out.data, data)
-
-    def test_linear_on_labels_rejected(self):
-        lm = LabelMap(np.zeros((3, 3, 3), dtype=np.int16), (1, 1, 1), np.eye(4))
-        with pytest.raises(ModeMismatch):
-            resample(lm, lm.geometry, mode="linear")
 
     def test_downsample_onto_coarser_grid(self):
         v = vol(np.tile(np.arange(8.0), (8, 8, 1)))
@@ -127,9 +123,10 @@ class TestResample:
 class TestFileRoundTrips:
     def test_volume_round_trip(self, tmp_path, identity_volume):
         p = tmp_path / "v.nii.gz"
-        save_volume(identity_volume, p, dtype=np.float64)
+        save_volume(identity_volume, p)
         back = load_volume(p)
-        assert np.array_equal(back.data, identity_volume.data)
+        assert np.array_equal(back.data,
+                              identity_volume.data.astype(np.float32))
         assert back.spacing == identity_volume.spacing
 
     def test_labelmap_round_trip(self, tmp_path):
@@ -160,6 +157,6 @@ class TestFileRoundTrips:
 
     def test_float_file_rejected_as_labelmap(self, tmp_path, identity_volume):
         p = tmp_path / "f.nii"
-        save_volume(identity_volume, p, dtype=np.float32)
+        save_volume(identity_volume, p)
         with pytest.raises(UnsupportedDatatype):
             load_labelmap(p)
