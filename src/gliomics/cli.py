@@ -139,6 +139,8 @@ def cmd_features(args) -> int:
     rows, modalities = read_manifest(args.manifest)
     if not rows:
         raise GliomicsError(f"manifest {args.manifest} lists no subjects")
+    if not modalities:
+        raise GliomicsError(f"manifest {args.manifest} has no modality column")
     kinds = args.kinds.split(",") if args.kinds else list(KIND_LENGTHS)
     for kind in kinds:
         if kind not in KIND_LENGTHS:

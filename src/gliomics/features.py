@@ -30,31 +30,6 @@ KIND_LENGTHS = {"v1": 14, "v2": 70, "v3": 28, "shape": 20}
 
 
 @dataclass(frozen=True)
-class IntensityBlock:
-    hist: np.ndarray
-    min: float
-    max: float
-    mean: float
-    entropy: float
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.hist, [self.min, self.max, self.mean,
-                                           self.entropy]])
-
-
-@dataclass(frozen=True)
-class ShapeBlock:
-    solidity: float
-    eccentricity: float
-    axis_ratio: float
-    perimeter_ratio: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.solidity, self.eccentricity, self.axis_ratio,
-                         self.perimeter_ratio])
-
-
-@dataclass(frozen=True)
 class FeatureVector:
     kind: str
     values: np.ndarray
@@ -75,22 +50,12 @@ class FeatureVector:
         return self.values.size
 
 
-def _check_mask(v: Volume, mask: np.ndarray) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.shape != v.dims:
-        raise GeometryMismatch(
-            f"mask shape {mask.shape} does not match volume dims {v.dims}")
-    return mask.astype(bool)
-
-
-def region_histogram(v: Volume, mask: np.ndarray) -> np.ndarray:
-    """Normalized histogram over the masked region's own [min, max] range.
+def region_histogram(vals: np.ndarray) -> np.ndarray:
+    """Normalized histogram of a region's values over their own [min, max].
 
     The last bin is closed so the maximum lands in bin ``HIST_BINS - 1``.
     Constant regions put all mass in bin 0; empty regions give all zeros.
     """
-    mask = _check_mask(v, mask)
-    vals = v.data[mask]
     if vals.size == 0:
         return np.zeros(HIST_BINS)
     lo, hi = float(vals.min()), float(vals.max())
@@ -123,14 +88,14 @@ def shannon_entropy(p) -> float:
     return float(0.0 - np.sum(nz * np.log2(nz)))
 
 
-def intensity_block(v: Volume, mask: np.ndarray) -> IntensityBlock:
-    mask = _check_mask(v, mask)
-    vals = v.data[mask]
+def intensity_block(vals: np.ndarray) -> np.ndarray:
+    """The 14-value block of a region's values: histogram, min, max, mean
+    and entropy; an empty region gives zeros."""
     if vals.size == 0:
-        return IntensityBlock(np.zeros(HIST_BINS), 0.0, 0.0, 0.0, 0.0)
-    hist = region_histogram(v, mask)
-    return IntensityBlock(hist, float(vals.min()), float(vals.max()),
-                          float(vals.mean()), shannon_entropy(hist))
+        return np.zeros(HIST_BINS + 4)
+    hist = region_histogram(vals)
+    return np.concatenate([hist, [float(vals.min()), float(vals.max()),
+                                  float(vals.mean()), shannon_entropy(hist)]])
 
 
 def _require_match(v: Volume, lm: LabelMap):
@@ -139,26 +104,27 @@ def _require_match(v: Volume, lm: LabelMap):
             f"volume dims {v.dims} vs label map dims {lm.dims}")
 
 
+def _label_blocks(v: Volume, lm: LabelMap, labels) -> np.ndarray:
+    """Intensity blocks of ``labels`` in order, one read of ``v`` each."""
+    _require_match(v, lm)
+    return np.concatenate([intensity_block(v.data[lm.data == lab])
+                           for lab in labels])
+
+
 def build_v1(v: Volume, lm: LabelMap) -> FeatureVector:
     """One intensity block over the union of all tumor labels."""
     _require_match(v, lm)
-    union = lm.data > 0
-    return FeatureVector("v1", intensity_block(v, union).to_array())
+    return FeatureVector("v1", intensity_block(v.data[lm.data > 0]))
 
 
 def build_v2(v: Volume, lm: LabelMap) -> FeatureVector:
     """Per-label intensity blocks, labels 1..5 in order; absent -> zeros."""
-    _require_match(v, lm)
-    blocks = [intensity_block(v, lm.data == lab).to_array()
-              for lab in TUMOR_LABELS]
-    return FeatureVector("v2", np.concatenate(blocks))
+    return FeatureVector("v2", _label_blocks(v, lm, TUMOR_LABELS))
 
 
 def build_v3(v: Volume, lm: LabelMap) -> FeatureVector:
     """Intensity blocks for the enhancing (2) and necrotic (5) labels only."""
-    _require_match(v, lm)
-    blocks = [intensity_block(v, lm.data == lab).to_array() for lab in (2, 5)]
-    return FeatureVector("v3", np.concatenate(blocks))
+    return FeatureVector("v3", _label_blocks(v, lm, (2, 5)))
 
 
 _STRUCT_26 = np.ones((3, 3, 3), dtype=bool)
@@ -249,7 +215,8 @@ def ellipse_perimeter(a: float, b: float) -> float:
 
 def _measure_slice(slice_mask: np.ndarray, sx: float, sy: float,
                    offset=(0, 0)):
-    """Planar shape descriptors of a 2D mask; returns (ShapeBlock, area).
+    """Planar shape descriptors of a 2D mask: (solidity, eccentricity,
+    axis_ratio, perimeter_ratio).
 
     ``offset`` is the mask's (i, j) origin in the full grid.  The moments
     are taken over full-grid pixel indices, so a cropped mask gives the
@@ -257,7 +224,6 @@ def _measure_slice(slice_mask: np.ndarray, sx: float, sy: float,
     """
     ij = np.argwhere(slice_mask) + offset
     n = len(ij)
-    area = n * sx * sy
     x = ij[:, 0] * sx
     y = ij[:, 1] * sy
     # second central moments of the pixel set, corrected for pixel extent
@@ -276,8 +242,7 @@ def _measure_slice(slice_mask: np.ndarray, sx: float, sy: float,
     ellipse_perim = ellipse_perimeter(a, b)
     boundary = _boundary_perimeter(slice_mask, sx, sy)
     solidity = n / _hull_pixel_count(ij)
-    return ShapeBlock(solidity, ecc, ratio,
-                      float(ellipse_perim / boundary)), area
+    return np.array([solidity, ecc, ratio, ellipse_perim / boundary])
 
 
 def _component_shape(component: np.ndarray, spacing, offset=(0, 0)):
@@ -288,7 +253,7 @@ def _component_shape(component: np.ndarray, spacing, offset=(0, 0)):
                           float(spacing[1]), offset)
 
 
-def shape_features(component: np.ndarray, spacing) -> ShapeBlock:
+def shape_features(component: np.ndarray, spacing) -> np.ndarray:
     """Planar shape descriptors of one component (largest axial slice).
 
     Single-pixel slices fall back to eccentricity 0, axis_ratio 1 and
@@ -298,8 +263,7 @@ def shape_features(component: np.ndarray, spacing) -> ShapeBlock:
     component = np.asarray(component).astype(bool)
     if not component.any():
         raise ValueError("component must be non-empty")
-    block, _ = _component_shape(component, spacing)
-    return block
+    return _component_shape(component, spacing)
 
 
 def shape_block(lm: LabelMap) -> FeatureVector:
@@ -318,13 +282,13 @@ def shape_block(lm: LabelMap) -> FeatureVector:
             out.append(np.zeros(4))
             continue
         offset = (box[0].start, box[1].start)
-        blocks, weights = [], []
-        for comp in connected_components(lm.data[box] == lab):
-            blk, area = _component_shape(comp, lm.spacing, offset)
-            blocks.append(blk.to_array())
-            weights.append(area)
-        w = np.asarray(weights) / np.sum(weights)
-        out.append(np.sum(np.stack(blocks) * w[:, None], axis=0))
+        comps = connected_components(lm.data[box] == lab)
+        blocks = np.stack([_component_shape(c, lm.spacing, offset)
+                           for c in comps])
+        areas = (np.array([c.sum(axis=(0, 1)).max() for c in comps])
+                 * lm.spacing[0] * lm.spacing[1])
+        w = areas / np.sum(areas)
+        out.append(np.sum(blocks * w[:, None], axis=0))
     return FeatureVector("shape", np.concatenate(out))
 
 

@@ -20,8 +20,8 @@ from .errors import BadMagic, IoFailure, UnsupportedDatatype
 HEADER_SIZE = 348
 VOX_OFFSET = 352  # header + 4 empty extension bytes
 
-# nifti1.h field layout.
-_HEADER_FIELDS = [
+# nifti1.h field layout, built once per byte order
+_HEADER_LE = np.dtype([
     ("sizeof_hdr", "i4"),
     ("data_type", "S10"),
     ("db_name", "S18"),
@@ -65,7 +65,8 @@ _HEADER_FIELDS = [
     ("srow_z", "f4", (4,)),
     ("intent_name", "S16"),
     ("magic", "S4"),
-]
+]).newbyteorder("<")
+_HEADER_BE = _HEADER_LE.newbyteorder(">")
 
 # datatype code -> numpy scalar type (scalar types only; RGB/complex/bitfield
 # are rejected with UnsupportedDatatype)
@@ -103,16 +104,6 @@ class ParsedNifti:
     affine: np.ndarray        # 4x4 voxel index -> world mm
     datatype_code: int
     scaled: bool              # True if scl_slope/scl_inter were applied
-
-
-def _header_dtype(byteorder: str) -> np.dtype:
-    fields = []
-    for fld in _HEADER_FIELDS:
-        if len(fld) == 3:
-            fields.append((fld[0], byteorder + fld[1], fld[2]))
-        else:
-            fields.append((fld[0], byteorder + fld[1]))
-    return np.dtype(fields)
 
 
 def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
@@ -155,10 +146,10 @@ def read_nifti(path) -> ParsedNifti:
     if len(blob) < HEADER_SIZE:
         raise BadMagic(f"{path}: truncated header ({len(blob)} bytes)")
     order = "<"
-    hdr = np.frombuffer(blob, dtype=_header_dtype(order), count=1)[0]
+    hdr = np.frombuffer(blob, dtype=_HEADER_LE, count=1)[0]
     if int(hdr["sizeof_hdr"]) != HEADER_SIZE:
         order = ">"
-        hdr = np.frombuffer(blob, dtype=_header_dtype(order), count=1)[0]
+        hdr = np.frombuffer(blob, dtype=_HEADER_BE, count=1)[0]
         if int(hdr["sizeof_hdr"]) != HEADER_SIZE:
             raise BadMagic(f"{path}: sizeof_hdr is not 348, not NIfTI-1")
     magic = bytes(hdr["magic"]).rstrip(b"\x00")
@@ -237,7 +228,7 @@ def write_nifti(path, data: np.ndarray, spacing, affine, dtype) -> None:
         raise UnsupportedDatatype(f"cannot encode dtype {dt}")
     code = _CODE_FOR_DTYPE[native]
 
-    hdr = np.zeros((), dtype=_header_dtype("<"))
+    hdr = np.zeros((), dtype=_HEADER_LE)
     hdr["sizeof_hdr"] = HEADER_SIZE
     hdr["regular"] = b"r"
     hdr["dim"] = [3, *data.shape, 1, 1, 1, 1]

@@ -94,7 +94,9 @@ def kruskal_wallis(groups) -> KwResult:
         start += len(g)
     h = 12.0 / (n_total * (n_total + 1)) * h - 3.0 * (n_total + 1)
     correction = 1.0 - _tie_term(pooled) / (n_total ** 3 - n_total)
-    h /= correction
+    # H >= 0 exactly, but as the difference of two large terms it can round
+    # below 0 when every group has the same rank sum
+    h = max(0.0, h / correction)
     return KwResult(float(h), df, chi2_sf(h, df), False)
 
 

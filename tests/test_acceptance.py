@@ -32,7 +32,7 @@ from gliomics.registration import (EsConfig, MiConfig, RigidTransform,
 from gliomics.experiments import run_experiment
 from gliomics.stats import chi2_sf, dunn_posthoc, kruskal_wallis
 from gliomics.svm import Kernel, smo_solve, train_svm_binary
-from gliomics.volume import Volume, resample
+from gliomics.volume import resample
 from gliomics.volumetrics import component_volumes, volume_ratios
 
 KIND_WIDTHS = {"v1": 14, "v2": 70, "v3": 28, "shape": 20}
@@ -89,16 +89,12 @@ def test_criterion_2_entropy_suite(capsys):
 
     rng = np.random.default_rng(7)
     worst = 0.0
-    eye = np.eye(4)
     for _ in range(1000):
         n = int(rng.integers(8, 200))
         vals = rng.normal(rng.uniform(-50, 50), rng.uniform(0.5, 20.0), n)
         a, b = float(rng.uniform(0.1, 8.0)), float(rng.uniform(-100, 100))
-        mask = np.ones((n, 1, 1), dtype=bool)
-        e_raw = shannon_entropy(region_histogram(
-            Volume(vals.reshape(-1, 1, 1), (1, 1, 1), eye), mask))
-        e_map = shannon_entropy(region_histogram(
-            Volume((a * vals + b).reshape(-1, 1, 1), (1, 1, 1), eye), mask))
+        e_raw = shannon_entropy(region_histogram(vals))
+        e_map = shannon_entropy(region_histogram(a * vals + b))
         worst = max(worst, abs(e_raw - e_map))
     checks.append(("monotone remap", worst <= 1e-9))
     elapsed = time.perf_counter() - t0
@@ -120,19 +116,19 @@ def test_criterion_3_shape_suite(capsys):
 
     yy, xx = np.mgrid[0:45, 0:45]
     disk = ((yy - 22.0) ** 2 + (xx - 22.0) ** 2 <= 20.0 ** 2)[:, :, None]
-    blk = shape_features(disk, (1.0, 1.0, 1.0))
-    checks.append(("disk eccentricity", blk.eccentricity < 0.1))
-    checks.append(("disk solidity", blk.solidity > 0.95))
+    solidity, ecc, _, _ = shape_features(disk, (1.0, 1.0, 1.0))
+    checks.append(("disk eccentricity", ecc < 0.1))
+    checks.append(("disk solidity", solidity > 0.95))
 
     rect = np.zeros((30, 30, 1), dtype=bool)
     rect[5:25, 8:20, 0] = True
     checks.append(("rectangle solidity",
-                   shape_features(rect, (1.0, 1.0, 1.0)).solidity == 1.0))
+                   shape_features(rect, (1.0, 1.0, 1.0))[0] == 1.0))
     elapsed = time.perf_counter() - t0
     failed = [name for name, good in checks if not good]
     report(capsys, 3, not failed,
            f"circle limit rel err {worst_rel:.1e}, disk ecc "
-           f"{blk.eccentricity:.3f} / solidity {blk.solidity:.3f}, rectangle "
+           f"{ecc:.3f} / solidity {solidity:.3f}, rectangle "
            f"solidity exact, in {elapsed:.1f}s"
            + (f"; failed: {failed}" if failed else ""))
 

@@ -246,6 +246,18 @@ class TestFeaturesCommand:
         assert main(["features", str(cohort_dir / "manifest.csv"),
                      "--kinds", "v9", "--out", str(tmp_path)]) == 2
 
+    def test_manifest_without_modalities_rejected(self, cohort_dir,
+                                                  tmp_path):
+        # with no modality column every table would hold only its header
+        rows, _ = read_manifest(cohort_dir / "manifest.csv")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("subject_id,grade,labelmap\n" + "".join(
+            f"{r['subject_id']},{r['grade']},{r['labelmap']}\n"
+            for r in rows))
+        out = tmp_path / "feats"
+        assert main(["features", str(manifest), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_manifest(self, tmp_path):
         assert main(["features", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
@@ -419,6 +431,24 @@ class TestStatsCommand:
         lines = (tmp_path / "stats.csv").read_text().splitlines()
         assert lines[1].split(",")[:2] == ["ratio", "h"]
         assert len(lines) == 2 + 5 * 3         # 5 ratios x 3 pairs
+
+    def test_equal_rank_sums_exit_0(self, tmp_path):
+        # ranks 1..66 dealt to the three grades in snake order give every
+        # grade the rank sum 737, where H rounds to just below 0
+        deal = np.arange(1.0, 67.0).reshape(11, 6)
+        columns = [f"ratio_pct_label{k}" for k in range(1, 6)]
+        lines = ["subject_id,grade," + ",".join(columns)]
+        for i, grade in enumerate((2, 3, 4)):
+            for n, value in enumerate(np.r_[deal[:, i], deal[:, 5 - i]]):
+                lines.append(f"g{grade}_{n:03d},{grade},"
+                             + ",".join([f"{value:g}"] * len(columns)))
+        ratios = tmp_path / "volumetrics.csv"
+        ratios.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "stats"
+        assert main(["stats", str(ratios), "--out", str(out)]) == 0
+        payload = json.loads((out / "stats.json").read_text())
+        assert {(e["h"], e["p"]) for e in payload["ratios"].values()} == \
+            {(0.0, 1.0)}
 
     def test_missing_grade_rejected(self, volumetrics_csv, tmp_path):
         culled = tmp_path / "two_grades.csv"

@@ -21,13 +21,9 @@ def vol_of(data, spacing=(1.0, 1.0, 1.0)):
                   np.diag([*spacing, 1.0]))
 
 
-def masked_volume(values):
-    """Volume holding ``values`` along one row, plus the matching mask."""
-    values = np.asarray(values, dtype=float)
-    data = np.zeros((len(values), 1, 1))
-    data[:, 0, 0] = values
-    mask = np.ones_like(data, dtype=bool)
-    return vol_of(data), mask
+def region(values):
+    """A region's 1-D float values, as build_v1/v2/v3 pass them."""
+    return np.asarray(values, dtype=float)
 
 
 class TestEntropy:
@@ -61,44 +57,36 @@ class TestEntropy:
 
 class TestRegionHistogram:
     def test_uniform_spread(self):
-        v, mask = masked_volume(np.arange(10.0))
-        assert np.allclose(region_histogram(v, mask), 0.1)
+        assert np.allclose(region_histogram(region(np.arange(10.0))), 0.1)
 
     def test_constant_region_all_mass_in_bin_zero(self):
-        v, mask = masked_volume([7.0] * 6)
-        hist = region_histogram(v, mask)
+        hist = region_histogram(region([7.0] * 6))
         assert hist[0] == 1.0 and np.all(hist[1:] == 0.0)
 
     def test_empty_mask_all_zeros(self, identity_volume):
         mask = np.zeros(identity_volume.dims, dtype=bool)
-        assert np.all(region_histogram(identity_volume, mask) == 0.0)
+        assert np.all(region_histogram(identity_volume.data[mask]) == 0.0)
 
     def test_span_wider_than_float_range(self):
         # hi - lo overflows to inf; extremes must still land in bins 0 and 9
-        v, mask = masked_volume([-1.7e308, 1e307, 1.7e308])
-        hist = region_histogram(v, mask)
+        hist = region_histogram(region([-1.7e308, 1e307, 1.7e308]))
         assert hist.sum() == pytest.approx(1.0)
         assert hist[0] == hist[5] == hist[9] == pytest.approx(1 / 3)
 
     def test_max_value_falls_in_last_bin(self):
-        v, mask = masked_volume([0.0, 10.0])
-        hist = region_histogram(v, mask)
+        hist = region_histogram(region([0.0, 10.0]))
         assert hist[0] == 0.5 and hist[9] == 0.5
-
-    def test_geometry_mismatch(self, identity_volume):
-        with pytest.raises(GeometryMismatch):
-            region_histogram(identity_volume, np.ones((2, 2, 2), dtype=bool))
 
     @pytest.mark.parametrize("values", [[0.0, 5e-324, 5e-324, 5e-324],
                                         [1e-310, 2e-310, 3e-310]])
     def test_tiny_span_is_binned_like_a_scaled_one(self, values):
         # scaling by a power of two is exact, so the bins must not change
-        hist = region_histogram(*masked_volume(values))
+        hist = region_histogram(region(values))
         scaled = np.asarray(values) * 2.0 ** 600
-        assert np.array_equal(hist, region_histogram(*masked_volume(scaled)))
+        assert np.array_equal(hist, region_histogram(region(scaled)))
 
     def test_subnormal_maximum_lands_in_last_bin(self):
-        hist = region_histogram(*masked_volume([0.0, 5e-324, 5e-324, 5e-324]))
+        hist = region_histogram(region([0.0, 5e-324, 5e-324, 5e-324]))
         assert np.array_equal(hist, [0.25] + [0.0] * 8 + [0.75])
 
     @given(st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=40),
@@ -107,42 +95,39 @@ class TestRegionHistogram:
     @settings(max_examples=150, deadline=None)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sums_to_one_when_nonempty(self, values, _seed):
-        v, mask = masked_volume(values)
-        assert region_histogram(v, mask).sum() == pytest.approx(1.0, abs=1e-9)
+        assert region_histogram(region(values)).sum() == \
+            pytest.approx(1.0, abs=1e-9)
 
 
+# a block is hist [:10], then min, max, mean [10:13], then entropy [13]
 class TestIntensityBlock:
     def test_two_level_region(self):
-        v, mask = masked_volume([2.0, 2.0, 4.0, 4.0])
-        blk = intensity_block(v, mask)
-        assert (blk.min, blk.max, blk.mean) == (2.0, 4.0, 3.0)
-        assert blk.hist[0] == 0.5 and blk.hist[-1] == 0.5
-        assert blk.entropy == pytest.approx(1.0)
+        blk = intensity_block(region([2.0, 2.0, 4.0, 4.0]))
+        assert tuple(blk[10:13]) == (2.0, 4.0, 3.0)
+        assert blk[0] == 0.5 and blk[9] == 0.5
+        assert blk[13] == pytest.approx(1.0)
 
     def test_empty_region_all_zeros(self, identity_volume):
         mask = np.zeros(identity_volume.dims, dtype=bool)
-        blk = intensity_block(identity_volume, mask)
-        assert np.all(blk.to_array() == 0.0)
+        blk = intensity_block(identity_volume.data[mask])
+        assert np.all(blk == 0.0)
 
     def test_constant_region(self):
-        v, mask = masked_volume([5.5] * 4)
-        blk = intensity_block(v, mask)
-        assert blk.min == blk.max == blk.mean == 5.5
-        assert blk.entropy == 0.0
+        blk = intensity_block(region([5.5] * 4))
+        assert blk[10] == blk[11] == blk[12] == 5.5
+        assert blk[13] == 0.0
 
     def test_order_of_fields(self):
-        v, mask = masked_volume([1.0, 3.0])
-        arr = intensity_block(v, mask).to_array()
+        arr = intensity_block(region([1.0, 3.0]))
         assert len(arr) == 14
         assert np.array_equal(arr[10:13], [1.0, 3.0, 2.0])  # min, max, mean
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
     @settings(max_examples=150, deadline=None)
     def test_min_mean_max_ordering(self, values):
-        v, mask = masked_volume(values)
-        blk = intensity_block(v, mask)
-        assert blk.min <= blk.mean + 1e-12
-        assert blk.mean <= blk.max + 1e-12
+        lo, hi, mean = intensity_block(region(values))[10:13]
+        assert lo <= mean + 1e-12
+        assert mean <= hi + 1e-12
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=30),
            st.floats(0.1, 10.0), st.floats(-100, 100))
@@ -159,14 +144,12 @@ class TestIntensityBlock:
         u = (vals - lo) * (10.0 / spread)
         interior = (np.round(u) >= 1) & (np.round(u) <= 9)
         assume(not np.any(interior & (np.abs(u - np.round(u)) < 1e-5)))
-        v, mask = masked_volume(values)
-        remapped = v.with_data(v.data * alpha + beta)
-        a = intensity_block(v, mask)
-        b = intensity_block(remapped, mask)
+        a = intensity_block(region(values))
+        b = intensity_block(region(values) * alpha + beta)
         # entropy invariant, extrema covariant
-        assert b.entropy == pytest.approx(a.entropy, abs=1e-9)
-        assert b.min == pytest.approx(alpha * a.min + beta, rel=1e-9, abs=1e-9)
-        assert b.max == pytest.approx(alpha * a.max + beta, rel=1e-9, abs=1e-9)
+        assert b[13] == pytest.approx(a[13], abs=1e-9)
+        assert b[10] == pytest.approx(alpha * a[10] + beta, rel=1e-9, abs=1e-9)
+        assert b[11] == pytest.approx(alpha * a[11] + beta, rel=1e-9, abs=1e-9)
 
 
 class TestVectors:
@@ -183,14 +166,14 @@ class TestVectors:
         v = vols["t2"]
         union = lm.data > 0
         assert np.array_equal(build_v1(v, lm).values,
-                              intensity_block(v, union).to_array())
+                              intensity_block(v.data[union]))
 
     def test_v2_blocks_match_per_label_oracle(self, small_phantom):
         vols, lm = small_phantom
         v = vols["t1_post"]
         v2 = build_v2(v, lm).values
         for i, lab in enumerate((1, 2, 3, 4, 5)):
-            expected = intensity_block(v, lm.data == lab).to_array()
+            expected = intensity_block(v.data[lm.data == lab])
             assert np.array_equal(v2[14 * i:14 * (i + 1)], expected)
 
     def test_v2_absent_labels_are_zero_blocks(self):
@@ -219,6 +202,12 @@ class TestVectors:
         v = vol_of(np.ones((12, 12, 12)))
         assert np.all(build_v1(v, lm).values == 0.0)
         assert np.all(build_v2(v, lm).values == 0.0)
+
+    @pytest.mark.parametrize("build", [build_v1, build_v2, build_v3])
+    def test_volume_off_the_label_grid_rejected(self, build):
+        lm = make_labelmap({2: [(3, 3, 3)], 5: [(6, 6, 6)]})
+        with pytest.raises(GeometryMismatch):
+            build(vol_of(np.ones((12, 12, 11))), lm)
 
     def test_feature_vector_validates_length(self):
         with pytest.raises(LengthMismatch):
@@ -291,34 +280,35 @@ class TestShape:
         assert ellipse_perimeter(3.0, 1.0) == pytest.approx(expected)
 
     def test_digital_disk(self):
-        blk = shape_features(disk_component(20), (1.0, 1.0, 1.0))
-        assert blk.eccentricity < 0.1
-        assert blk.axis_ratio < 1.1
-        assert blk.solidity > 0.95
+        solidity, ecc, axis_ratio, perimeter_ratio = shape_features(
+            disk_component(20), (1.0, 1.0, 1.0))
+        assert ecc < 0.1
+        assert axis_ratio < 1.1
+        assert solidity > 0.95
         # frozen oracle: cracked-edge boundary of a digital disk is ~8r,
         # so the ratio sits near pi/4 rather than 1
-        assert blk.perimeter_ratio == pytest.approx(0.766732, abs=1e-6)
+        assert perimeter_ratio == pytest.approx(0.766732, abs=1e-6)
 
     def test_rectangle_solidity_exact(self):
         comp = np.zeros((20, 20, 1), dtype=bool)
         comp[4:16, 7:12, 0] = True
-        blk = shape_features(comp, (1.0, 1.0, 1.0))
-        assert blk.solidity == 1.0
+        solidity, _, _, _ = shape_features(comp, (1.0, 1.0, 1.0))
+        assert solidity == 1.0
 
     def test_elongated_rectangle_eccentric(self):
         comp = np.zeros((40, 40, 1), dtype=bool)
         comp[2:38, 10:13, 0] = True
-        blk = shape_features(comp, (1.0, 1.0, 1.0))
-        assert blk.eccentricity > 0.9
-        assert blk.axis_ratio > 3.0
+        _, ecc, axis_ratio, _ = shape_features(comp, (1.0, 1.0, 1.0))
+        assert ecc > 0.9
+        assert axis_ratio > 3.0
 
     def test_single_voxel_conventions(self):
         comp = np.zeros((5, 5, 5), dtype=bool)
         comp[2, 2, 2] = True
-        blk = shape_features(comp, (1.0, 1.0, 1.0))
-        assert blk.eccentricity == 0.0
-        assert blk.axis_ratio == 1.0
-        assert blk.solidity == 1.0
+        solidity, ecc, axis_ratio, _ = shape_features(comp, (1.0, 1.0, 1.0))
+        assert ecc == 0.0
+        assert axis_ratio == 1.0
+        assert solidity == 1.0
 
     def test_empty_component_rejected(self):
         with pytest.raises(ValueError):
@@ -333,7 +323,7 @@ class TestShape:
         square = np.zeros((9, 9, 1), dtype=bool)
         square[2:7, 2:7, 0] = True
         expected = shape_features(square, (1.0, 1.0, 1.0))
-        assert blk == expected
+        assert np.array_equal(blk, expected)
 
     def test_shape_block_absent_label_zeros(self):
         lm = make_labelmap({2: [(3, 3, 3), (3, 4, 3), (4, 3, 3), (4, 4, 3)]})
@@ -348,7 +338,7 @@ class TestShape:
         comp = np.zeros((12, 12, 12), dtype=bool)
         for v in voxels:
             comp[v] = True
-        expected = shape_features(comp, (1.0, 1.0, 1.0)).to_array()
+        expected = shape_features(comp, (1.0, 1.0, 1.0))
         assert np.allclose(shape_block(lm).values[8:12], expected)
 
     def test_shape_block_area_weighting(self):
@@ -362,8 +352,8 @@ class TestShape:
             comp_big[v] = True
         for v in small:
             comp_small[v] = True
-        blk_big = shape_features(comp_big, (1.0, 1.0, 1.0)).to_array()
-        blk_small = shape_features(comp_small, (1.0, 1.0, 1.0)).to_array()
+        blk_big = shape_features(comp_big, (1.0, 1.0, 1.0))
+        blk_small = shape_features(comp_small, (1.0, 1.0, 1.0))
         expected = 0.75 * blk_big + 0.25 * blk_small
         assert np.allclose(shape_block(lm).values[0:4], expected)
 
@@ -414,9 +404,10 @@ def reference_shape_block(lm):
             continue
         blocks, weights = [], []
         for comp in comps:
-            blk, area = _component_shape(comp, lm.spacing)
-            blocks.append(blk.to_array())
-            weights.append(area)
+            blocks.append(_component_shape(comp, lm.spacing))
+            # the measured slice's area
+            weights.append(comp.sum(axis=(0, 1)).max()
+                           * lm.spacing[0] * lm.spacing[1])
         w = np.asarray(weights) / np.sum(weights)
         out.append(np.sum(np.stack(blocks) * w[:, None], axis=0))
     return np.concatenate(out)

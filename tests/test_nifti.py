@@ -16,7 +16,7 @@ def _patch_header(path, **fields):
     """Rewrite named header fields of a .nii or .nii.gz in place."""
     blob = bytearray(read_bytes(path))
     hdr = np.frombuffer(bytes(blob[:nifti.HEADER_SIZE]),
-                        dtype=nifti._header_dtype("<")).copy()
+                        dtype=nifti._HEADER_LE).copy()
     for name, value in fields.items():
         hdr[name] = value
     blob[:nifti.HEADER_SIZE] = hdr.tobytes()
@@ -28,7 +28,7 @@ def _header_faults() -> list:
     field: -1 and 0, and NaN and +-inf as well where the field is a float.
     Integer values wrap to the field's type, as a corrupt byte would."""
     faults = []
-    for name, (dt, _) in nifti._header_dtype("<").fields.items():
+    for name, (dt, _) in nifti._HEADER_LE.fields.items():
         if dt.base.kind not in "iuf":
             continue
         values = (-1, 0, np.nan, np.inf, -np.inf) if dt.base.kind == "f" \
@@ -144,7 +144,7 @@ def test_scl_slope_zero_means_unscaled(tmp_path):
 def test_big_endian_read(tmp_path):
     # build the same volume by hand with '>' fields; reader must byteswap
     data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
-    hdr = np.zeros((), dtype=nifti._header_dtype(">"))
+    hdr = np.zeros((), dtype=nifti._HEADER_BE)
     hdr["sizeof_hdr"] = nifti.HEADER_SIZE
     hdr["dim"] = [3, 2, 3, 4, 1, 1, 1, 1]
     hdr["datatype"] = 16
@@ -236,7 +236,7 @@ def _layout(blob: bytes, layout: str) -> tuple:
     in the qform alone ("qform").  Each decodes to the same volume."""
     raw = gzip.decompress(blob)
     hdr = np.frombuffer(raw[:nifti.HEADER_SIZE],
-                        dtype=nifti._header_dtype("<"))[0].copy()
+                        dtype=nifti._HEADER_LE)[0].copy()
     if layout == "sform":
         return raw, "<"
     if layout == "qform":
@@ -246,7 +246,7 @@ def _layout(blob: bytes, layout: str) -> tuple:
                      "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z"):
             hdr[name] = 0
         return hdr.tobytes() + raw[nifti.HEADER_SIZE:], "<"
-    swapped = np.array(hdr, dtype=nifti._header_dtype(">"))
+    swapped = np.array(hdr, dtype=nifti._HEADER_BE)
     voxels = np.frombuffer(raw[nifti.VOX_OFFSET:], dtype="<f4").astype(">f4")
     return (swapped.tobytes() + raw[nifti.HEADER_SIZE:nifti.VOX_OFFSET]
             + voxels.tobytes(), ">")
@@ -296,8 +296,8 @@ class TestFaultInjection:
         blob, good, mutant = packed
         name, i, value = fault
         raw, order = _layout(blob, layout)
-        hdr = np.frombuffer(raw[:nifti.HEADER_SIZE],
-                            dtype=nifti._header_dtype(order))[0].copy()
+        dt = nifti._HEADER_LE.newbyteorder(order)
+        hdr = np.frombuffer(raw[:nifti.HEADER_SIZE], dtype=dt)[0].copy()
         field = hdr[name].reshape(-1)
         field[i] = np.asarray(value).astype(field.dtype)
         hdr[name] = field.reshape(hdr[name].shape)

@@ -39,6 +39,12 @@ def reference_midranks(values):
     return ranks
 
 
+def snake_dealt_groups():
+    """Three groups of 22 holding ranks 1..66 in snake order."""
+    deal = np.arange(1.0, 67.0).reshape(11, 6)
+    return [np.r_[deal[:, i], deal[:, 5 - i]] for i in range(3)]
+
+
 def kw_rank_oracle(groups):
     """H from first principles: explicit midranks and tie correction."""
     pooled = np.concatenate([np.asarray(g, dtype=float) for g in groups])
@@ -116,6 +122,14 @@ class TestKruskalWallis:
         assert kw.h == 0.0
         assert kw.p_value == 1.0
         assert kw.all_identical
+
+    def test_equal_rank_sums_give_h_zero(self):
+        # ranks 1..66 dealt in snake order (1 2 3 3 2 1 4 5 6 6 5 4 ...)
+        # give every group the rank sum 737; H then rounds to -2.8e-14
+        kw = kruskal_wallis(snake_dealt_groups())
+        assert kw.h == 0.0 and not np.signbit(kw.h)
+        assert kw.p_value == 1.0
+        assert not kw.all_identical
 
     def test_too_few_groups(self):
         with pytest.raises(TooFewGroups):
