@@ -43,6 +43,10 @@ class LabelOutOfRange(GliomicsError):
         return type(self), (self.value, self.index)
 
 
+class NonFiniteVoxel(GliomicsError):
+    """A scalar volume holds a NaN or infinite voxel."""
+
+
 # --- geometry ---------------------------------------------------------------
 
 class GeometryMismatch(GliomicsError):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from . import nifti
-from .errors import LabelOutOfRange, UnsupportedDatatype
+from .errors import LabelOutOfRange, NonFiniteVoxel, UnsupportedDatatype
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True)
@@ -137,8 +137,14 @@ class LabelMap:
 
 
 def load_volume(path) -> Volume:
-    """Read a scalar NIfTI-1 volume (.nii or .nii.gz)."""
+    """Read a scalar NIfTI-1 volume (.nii or .nii.gz); a NaN or infinite
+    voxel raises NonFiniteVoxel naming the file and the first such voxel."""
     parsed = nifti.read_nifti(path)
+    bad = ~np.isfinite(parsed.data)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NonFiniteVoxel(f"{path}: voxel {idx} holds "
+                             f"{parsed.data[idx]}, not a finite value")
     return Volume(parsed.data, parsed.spacing, parsed.affine)
 
 

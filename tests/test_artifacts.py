@@ -3,11 +3,15 @@ permissions of a plain ``open()``, deterministic gzip, and the CSV format."""
 
 import gzip
 import os
+import zlib
 
+import numpy as np
 import pytest
 
 from gliomics import artifacts
-from gliomics.artifacts import read_csv, write_bytes, write_csv, write_json
+from gliomics.artifacts import (_GZIP_ARGS, read_bytes, read_csv, write_bytes,
+                                write_csv, write_json)
+from gliomics.errors import IoFailure
 
 PROV = {"tool_version": "1.2", "config_digest": "ab" * 8, "seed": 7}
 
@@ -57,6 +61,50 @@ class TestWriteBytes:
         assert gzip.decompress(blob) == b"payload" * 100
         again = write_bytes(tmp_path / "w.nii.gz", b"payload" * 100)
         assert again.read_bytes() == blob
+
+
+def deflated(data: bytes, level: int) -> bytes:
+    """``data`` gzipped with the writer's settings at ``level``."""
+    deflate = zlib.compressobj(level, *_GZIP_ARGS[1:])
+    return deflate.compress(data) + deflate.flush()
+
+
+# ID1 ID2, CM deflate, FLG 0 (no FNAME), MTIME 0, XFL 4, OS 3
+GZIP_HEADER = bytes.fromhex("1f8b0800000000000403")
+
+
+class TestGzipLevel:
+    """A ``.gz`` payload with fewer than 1/8 zero bytes is stored (level 0);
+    any other is deflated with ``_GZIP_ARGS`` (level 1, run-length)."""
+
+    @staticmethod
+    def payload(n_zero: int, n: int = 4096) -> bytes:
+        """``n`` bytes, the first ``n_zero`` of them zero, the rest noise
+        over 1..16, which Huffman coding alone would halve."""
+        rng = np.random.default_rng(n_zero)
+        noise = rng.integers(1, 17, size=n - n_zero, dtype=np.uint8)
+        return bytes(n_zero) + noise.tobytes()
+
+    @pytest.mark.parametrize("n_zero, level", [(0, 0), (511, 0), (512, 1),
+                                               (4096, 1)])
+    def test_level_follows_zero_share(self, tmp_path, n_zero, level):
+        data = self.payload(n_zero)
+        blob = write_bytes(tmp_path / "v.nii.gz", data).read_bytes()
+        assert blob == deflated(data, level)
+        assert blob[:10] == GZIP_HEADER
+        assert gzip.decompress(blob) == data
+
+    def test_empty_payload(self, tmp_path):
+        blob = write_bytes(tmp_path / "e.gz", b"").read_bytes()
+        assert blob == deflated(b"", 1)
+        assert read_bytes(tmp_path / "e.gz") == b""
+
+    @pytest.mark.parametrize("cut", [1, 5, 8, 4000])
+    def test_truncated_stored_stream_raises(self, tmp_path, cut):
+        path = write_bytes(tmp_path / "v.nii.gz", self.payload(0))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(IoFailure):
+            read_bytes(path)
 
 
 class TestCsv:

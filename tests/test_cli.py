@@ -31,7 +31,8 @@ import pytest
 import gliomics
 from gliomics import cli, features, phantom
 from gliomics.cli import build_parser, main
-from gliomics.errors import BadMagic, IoFailure, LabelOutOfRange
+from gliomics.errors import (BadMagic, IoFailure, LabelOutOfRange,
+                             NonFiniteVoxel)
 from gliomics.experiments import run_experiment, write_feature_table
 from gliomics.nifti import VOX_OFFSET, read_nifti
 from gliomics.phantom import generate_cohort, read_manifest, write_cohort
@@ -264,7 +265,7 @@ class TestFeaturesCommand:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("corrupt", ["truncated_header", "label_7",
-                                         "half_gz"])
+                                         "half_gz", "nan_voxel"])
     def test_corrupt_subject_aborts_unless_skipped(self, cohort_dir,
                                                    feature_dir, tmp_path,
                                                    corrupt, jobs):
@@ -291,6 +292,21 @@ class TestFeaturesCommand:
         kept = [ln for ln in clean if not ln.startswith(subject + ",")]
         assert len(kept) == len(clean) - 3
         assert table.decode().splitlines()[1:] == kept
+
+    def test_non_finite_voxel_skip_names_file_and_voxel(self, cohort_dir,
+                                                        tmp_path, caplog):
+        broken = tmp_path / "broken"
+        shutil.copytree(cohort_dir, broken)
+        subject = _nan_voxel(broken)
+        with caplog.at_level(logging.WARNING, logger="gliomics"):
+            assert main(["features", str(broken / "manifest.csv"), "--kinds",
+                         "v1", "--out", str(tmp_path / "o"),
+                         "--skip-errors"]) == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.levelno == logging.WARNING]
+        assert line.startswith(f"skipping {subject}: ")
+        assert line.endswith(f"{subject}_t2.nii.gz: voxel (0, 0, 0) holds "
+                             f"nan, not a finite value")
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers must inherit the patched extractor")
@@ -320,7 +336,7 @@ def _touch_then_extract(touched, row, *args, **kwargs):
 _REAL_EXTRACT = cli._extract_subject
 
 
-# The first two write plain NIfTI bytes back under the .nii.gz name: a
+# All but _half_gz write plain NIfTI bytes back under the .nii.gz name: a
 # reader tells gzip from plain NIfTI by the magic bytes, not the name.
 
 def _truncate_header(cohort):
@@ -344,10 +360,19 @@ def _half_gz(cohort):
     return "g3_002"
 
 
+def _nan_voxel(cohort):
+    nii = cohort / "g2_001_t2.nii.gz"
+    data = bytearray(gzip.decompress(nii.read_bytes()))
+    data[VOX_OFFSET:VOX_OFFSET + 4] = np.float32(np.nan).tobytes()
+    nii.write_bytes(bytes(data))
+    return "g2_001"
+
+
 # name -> (corruption, the error the broken subject raises)
 CORRUPTIONS = {"truncated_header": (_truncate_header, BadMagic),
                "label_7": (_label_7, LabelOutOfRange),
-               "half_gz": (_half_gz, IoFailure)}
+               "half_gz": (_half_gz, IoFailure),
+               "nan_voxel": (_nan_voxel, NonFiniteVoxel)}
 
 
 class TestFeaturesStage:

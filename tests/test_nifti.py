@@ -1,4 +1,5 @@
 import gzip
+import zlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gliomics import nifti
-from gliomics.artifacts import read_bytes, write_bytes
+from gliomics.artifacts import _GZIP_ARGS, read_bytes, write_bytes
 from gliomics.errors import (BadMagic, GliomicsError, IoFailure, MissingFile,
                              UnsupportedDatatype)
 from gliomics.volume import Volume
@@ -62,6 +63,67 @@ def test_gzip_transparency(tmp_path):
     assert np.array_equal(plain.affine, packed.affine)
     assert (gzip.decompress((tmp_path / "a.nii.gz").read_bytes())
             == (tmp_path / "a.nii").read_bytes())
+
+
+def _rle(raw: bytes) -> bytes:
+    """``raw`` gzipped at level 1 with the run-length strategy: how every
+    ``.nii.gz`` was written before few-zero payloads were stored."""
+    deflate = zlib.compressobj(*_GZIP_ARGS)
+    return deflate.compress(raw) + deflate.flush()
+
+
+class TestGzipChoice:
+    """Noise float volumes are stored; label maps and float volumes with at
+    least 1/8 zero bytes keep the run-length deflate.  Every file keeps the
+    MTIME-0, nameless header and decodes to the same voxels."""
+
+    def write_both(self, tmp_path, data, dtype):
+        """Write ``data`` as .nii and .nii.gz; the raw and packed bytes."""
+        aff = np.diag([1.0, 2.0, 3.0, 1.0])
+        for name in ("v.nii", "v.nii.gz"):
+            nifti.write_nifti(tmp_path / name, data, (1, 2, 3), aff, dtype)
+        return ((tmp_path / "v.nii").read_bytes(),
+                (tmp_path / "v.nii.gz").read_bytes())
+
+    def test_noise_volume_is_stored_and_round_trips(self, tmp_path):
+        data = np.random.default_rng(1).normal(100, 10, size=(16, 16, 16))
+        data = data.astype(np.float32)
+        raw, packed = self.write_both(tmp_path, data, np.float32)
+        assert raw.count(0) < len(raw) / 8
+        assert len(packed) >= len(raw)
+        assert packed != _rle(raw)
+        assert packed[:10] == bytes.fromhex("1f8b0800000000000403")
+        out = nifti.read_nifti(tmp_path / "v.nii.gz")
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("kind", ["labelmap", "sparse_float"])
+    def test_zero_heavy_payload_keeps_rle(self, tmp_path, kind):
+        rng = np.random.default_rng(2)
+        if kind == "labelmap":
+            data = np.zeros((16, 16, 16), dtype=np.uint8)
+            data[4:10, 5:12, 3:9] = rng.integers(1, 6, size=(6, 7, 6))
+        else:
+            # a subtraction map: noise over the lower half, zeros above
+            data = rng.normal(5, 1, size=(16, 16, 16)).astype(np.float32)
+            data[:, :, 8:] = 0
+        raw, packed = self.write_both(tmp_path, data, data.dtype)
+        assert raw.count(0) >= len(raw) / 8
+        assert packed == _rle(raw)
+        assert packed[:10] == bytes.fromhex("1f8b0800000000000403")
+        assert np.array_equal(nifti.read_nifti(tmp_path / "v.nii.gz").data,
+                              data)
+
+    def test_rle_deflated_noise_volume_still_loads(self, tmp_path):
+        data = np.random.default_rng(3).normal(size=(16, 16, 16))
+        raw, _ = self.write_both(tmp_path, data.astype(np.float32),
+                                 np.float32)
+        (tmp_path / "old.nii.gz").write_bytes(_rle(raw))
+        old = nifti.read_nifti(tmp_path / "old.nii.gz")
+        new = nifti.read_nifti(tmp_path / "v.nii.gz")
+        assert old.data.tobytes() == new.data.tobytes()
+        assert old.spacing == new.spacing
+        assert np.array_equal(old.affine, new.affine)
 
 
 def test_write_failure_is_io_failure(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gliomics import nifti
-from gliomics.errors import LabelOutOfRange, UnsupportedDatatype
+from gliomics.errors import (LabelOutOfRange, NonFiniteVoxel,
+                             UnsupportedDatatype)
 from gliomics.volume import (GridGeometry, LabelMap, Volume, load_labelmap,
                              load_volume, resample, save_labelmap, save_volume)
 
@@ -146,6 +147,20 @@ class TestFileRoundTrips:
             load_labelmap(p)
         assert exc.value.value == 7 and isinstance(exc.value.value, int)
         assert str(exc.value).startswith("label value 7 at voxel (0, 0, 0) ")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+    def test_non_finite_voxel_rejected(self, tmp_path, value, name):
+        data = np.ones((3, 4, 5), dtype=np.float32)
+        data[1, 2, 3] = value
+        data[2, 3, 4] = np.nan
+        p = tmp_path / name
+        nifti.write_nifti(p, data, (1, 1, 1), np.eye(4), np.float32)
+        with pytest.raises(NonFiniteVoxel) as exc:
+            load_volume(p)
+        assert exc.value.exit_code == 2
+        assert str(exc.value) == (f"{p}: voxel (1, 2, 3) holds {value}, "
+                                  f"not a finite value")
 
     def test_volume_is_float64_from_any_datatype(self, tmp_path):
         data = np.arange(8, dtype=np.int16).reshape(2, 2, 2)
