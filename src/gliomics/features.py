@@ -155,7 +155,8 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     ``pts`` must be distinct and sorted by (i, j), as ``np.argwhere``
     returns them.  A point strictly between two others of its row lies on
     the segment joining them, so it is no hull vertex: the chain runs over
-    the first and last point of each row alone.
+    the first and last point of each row alone.  The chain runs on Python
+    ints, whose cross products are exact and cheaper than numpy scalars'.
     """
     if len(pts) <= 2:
         return pts
@@ -174,6 +175,7 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
             out.append(p)
         return out
 
+    pts = pts.tolist()
     lower = half(pts)
     upper = half(pts[::-1])
     return np.array(lower[:-1] + upper[:-1])

@@ -15,8 +15,9 @@ from scipy.ndimage import map_coordinates
 from . import nifti
 from .errors import LabelOutOfRange, NonFiniteVoxel, UnsupportedDatatype
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
+def _frozen(arr, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of ``arr`` as ``dtype``, in ``arr``'s memory order."""
+    arr = np.array(arr, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -75,11 +76,11 @@ class Volume:
     affine: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = _frozen(self.data)
         if data.ndim != 3:
             raise ValueError(f"volume data must be 3D, got shape {data.shape}")
         affine = _check_geometry(data.shape, self.spacing, self.affine)
-        object.__setattr__(self, "data", _frozen(data))
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         object.__setattr__(self, "affine", _frozen(affine))
 
@@ -121,9 +122,9 @@ class LabelMap:
         if bad.any():
             idx = np.argwhere(bad)[0]
             raise LabelOutOfRange(raw[tuple(idx)].item(), idx)
-        data = raw.astype(np.int16)
+        data = _frozen(raw, np.int16)
         affine = _check_geometry(data.shape, self.spacing, self.affine)
-        object.__setattr__(self, "data", _frozen(data))
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         object.__setattr__(self, "affine", _frozen(affine))
 

@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gliomics.classify import TrainConfig
-from gliomics.errors import SingleClass
+from gliomics.errors import EmptyMatrix, GliomicsError, SingleClass
 from gliomics.mlp import (ARMIJO_C1, HIDDEN_UNITS, MAX_BACKTRACKS,
                           VAL_CHECK_INTERVAL, MlpModel, _onehot, _pack,
                           _unpack, cross_entropy, init_params, loss_and_grad,
@@ -122,6 +125,18 @@ class TestTraining:
         X = rng.normal(size=(6, 2))
         with pytest.raises(SingleClass):
             train_mlp(X, np.ones(6), X, np.ones(6))
+
+    def test_validation_label_unknown_to_training_rejected(self, rng):
+        X, y = blobs(rng, 6, [(-2.0,), (2.0,)])
+        y_val = np.array([0, 1, 2])
+        with pytest.raises(GliomicsError, match="label 2 ") as info:
+            train_mlp(X, y, X[:3], y_val)
+        assert not isinstance(info.value, KeyError)
+
+    def test_empty_validation_set_rejected(self, rng):
+        X, y = blobs(rng, 6, [(-2.0,), (2.0,)])
+        with pytest.raises(EmptyMatrix):
+            train_mlp(X, y, X[:0], y[:0])
 
     def test_iteration_budget_respected(self, rng):
         X, y = blobs(rng, 10, [(-1.0,), (1.0,)], sd=1.0)
@@ -262,7 +277,7 @@ class TestAgainstReference:
         assert same_bytes(cross_entropy(probs, Y),
                           reference_cross_entropy(probs, Y))
 
-    @given(problems(max_n=40, max_d=40), st.integers(0, 2**32 - 1),
+    @given(problems(), st.integers(0, 2**32 - 1),
            st.sampled_from((None, 1, 3, 7)), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_training_is_byte_equal(self, problem, seed, restart, patience):
@@ -276,3 +291,47 @@ class TestAgainstReference:
         assert same_bytes(model.params(), ref_theta)
         assert same_bytes(hist["train_loss"], ref_hist["train_loss"])
         assert same_bytes(hist["val_loss"], ref_hist["val_loss"])
+
+
+class TestFitsShareNoBuffers:
+    """Each fit makes its own buffers: a model never changes after it is
+    returned, and concurrent fits give the serial bytes."""
+
+    def problems(self, rng):
+        out = []
+        for d in (2, 5):
+            X, y = blobs(rng, 12, [(-1.0,) * d, (1.0,) * d, (0.0,) * d],
+                         sd=1.0)
+            out.append((X, y, X[::2], y[::2]))
+        return out
+
+    def test_model_unchanged_by_a_later_fit(self, rng):
+        first, second = self.problems(rng)
+        model = train_mlp(*first, seed=1)
+        before = model.params().copy()
+        train_mlp(*second, seed=2)
+        assert same_bytes(model.params(), before)
+
+    def test_concurrent_fits_give_serial_bytes(self, rng):
+        problems = self.problems(rng) * 2
+        serial = [train_mlp(*p, seed=i).params() for i, p in
+                  enumerate(problems)]
+        results = [None] * len(problems)
+
+        def fit(i):
+            results[i] = train_mlp(*problems[i], seed=i).params()
+
+        threads = [threading.Thread(target=fit, args=(i,))
+                   for i in range(len(problems))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # switch threads mid-step
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            assert same_bytes(got, want)

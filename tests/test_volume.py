@@ -18,6 +18,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             identity_volume.data[0, 0, 0] = 99.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_data_is_a_frozen_copy_of_the_input(self, dtype):
+        source = np.arange(24, dtype=dtype).reshape(2, 3, 4)
+        v = Volume(source, (1.0, 1.0, 1.0), np.eye(4))
+        assert v.data.dtype == np.float64
+        assert not v.data.flags.writeable
+        assert not np.shares_memory(v.data, source)
+        assert np.array_equal(v.data, source)
+        source[0, 0, 0] = 99.0
+        assert v.data[0, 0, 0] == 0.0
+
+    def test_labelmap_data_is_a_frozen_copy_of_the_input(self):
+        source = np.ones((2, 3, 4), dtype=np.int16)
+        lm = LabelMap(source, (1.0, 1.0, 1.0), np.eye(4))
+        assert lm.data.dtype == np.int16
+        assert not lm.data.flags.writeable
+        assert not np.shares_memory(lm.data, source)
+
+    def test_fortran_order_is_kept(self):
+        source = np.asfortranarray(np.arange(24.0).reshape(2, 3, 4))
+        v = Volume(source, (1.0, 1.0, 1.0), np.eye(4))
+        assert v.data.flags.f_contiguous
+        assert np.array_equal(v.data, source)
+
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             Volume(np.zeros((3, 3)), (1, 1, 1), np.eye(4))
