@@ -5,6 +5,7 @@ for the two learners (one-against-all SVM, tanh/softmax network).
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -18,8 +19,10 @@ log = logging.getLogger(__name__)
 
 
 def _positive(value, kind) -> bool:
-    # bool is an Integral too, but a JSON true is not a count
-    return isinstance(value, kind) and not isinstance(value, bool) and value > 0
+    # bool is an Integral too, but a JSON true is not a count; JSON's
+    # Infinity and NaN fail the bounds
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and 0 < value < math.inf)
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,8 @@ class TrainConfig:
                                              *self.svm_c_grid,
                                              *self.rbf_gamma_grid))):
             raise ValueError("smo_tolerance and the svm_c_grid and "
-                             "rbf_gamma_grid values must be positive numbers")
+                             "rbf_gamma_grid values must be positive finite "
+                             "numbers")
 
 
 @dataclass(frozen=True)

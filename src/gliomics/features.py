@@ -46,9 +46,6 @@ class FeatureVector:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def __len__(self):
-        return self.values.size
-
 
 def region_histogram(vals: np.ndarray) -> np.ndarray:
     """Normalized histogram of a region's values over their own [min, max].
@@ -222,7 +219,8 @@ def _measure_slice(slice_mask: np.ndarray, sx: float, sy: float,
 
     ``offset`` is the mask's (i, j) origin in the full grid.  The moments
     are taken over full-grid pixel indices, so a cropped mask gives the
-    same floats as the uncropped one.
+    same floats as the uncropped one.  A single pixel gives eccentricity 0,
+    axis_ratio 1 and solidity 1: its moment ellipse is a circle.
     """
     ij = np.argwhere(slice_mask) + offset
     n = len(ij)
@@ -253,19 +251,6 @@ def _component_shape(component: np.ndarray, spacing, offset=(0, 0)):
     k = int(np.argmax(counts))  # first maximal slice on ties
     return _measure_slice(component[:, :, k], float(spacing[0]),
                           float(spacing[1]), offset)
-
-
-def shape_features(component: np.ndarray, spacing) -> np.ndarray:
-    """Planar shape descriptors of one component (largest axial slice).
-
-    Single-pixel slices fall back to eccentricity 0, axis_ratio 1 and
-    solidity 1; the moment ellipse of one pixel is a circle, so those values
-    also come out of the math.
-    """
-    component = np.asarray(component).astype(bool)
-    if not component.any():
-        raise ValueError("component must be non-empty")
-    return _component_shape(component, spacing)
 
 
 def shape_block(lm: LabelMap) -> FeatureVector:

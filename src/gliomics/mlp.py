@@ -59,21 +59,12 @@ class MlpModel:
         rows = _Rows(len(X), *self.w2.shape)
         return _forward(X, (self.w1, self.b1, self.w2, self.b2), rows)[1]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_from(self.forward(X))
-
     def predict_from(self, probs: np.ndarray) -> np.ndarray:
         """Class of each row of ``forward``'s probabilities."""
         return np.asarray(self.classes)[np.argmax(probs, axis=1)]
 
     def params(self) -> np.ndarray:
         return _pack(self.w1, self.b1, self.w2, self.b2)
-
-    def with_params(self, theta: np.ndarray) -> "MlpModel":
-        d, h = self.w1.shape
-        k = self.w2.shape[1]
-        w1, b1, w2, b2 = _unpack(theta, d, h, k)
-        return MlpModel(w1, b1, w2, b2, self.classes)
 
 
 class _Slot:
@@ -163,11 +154,6 @@ def init_params(d: int, k: int, seed: int) -> np.ndarray:
     w2 = rng.uniform(-lim2, lim2, size=(HIDDEN_UNITS, k))
     b2 = rng.uniform(-lim2, lim2, size=k)
     return _pack(w1, b1, w2, b2)
-
-
-def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
-    """Mean cross-entropy in nats between predicted rows and one-hot targets."""
-    return _mean_nll(probs, np.flatnonzero(onehot), np.empty(len(probs)))
 
 
 def loss_and_grad(theta: np.ndarray, X: np.ndarray, onehot: np.ndarray,

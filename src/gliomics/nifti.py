@@ -87,7 +87,8 @@ _CODE_FOR_DTYPE = {np.dtype(t): c for c, t in _DTYPE_FOR_CODE.items()}
 _INTEGER_CODES = frozenset(c for c, t in _DTYPE_FOR_CODE.items()
                            if np.issubdtype(t, np.integer))
 
-_GOOD_MAGIC = (b"n+1", b"ni1")
+# single-file NIfTI-1; a two-file pair's header says "ni1" instead
+_GOOD_MAGIC = b"n+1"
 
 # the float fields that place the voxel grid in the world
 _GEOMETRY_FIELDS = ("pixdim", "quatern_b", "quatern_c", "quatern_d",
@@ -153,8 +154,9 @@ def read_nifti(path) -> ParsedNifti:
         if int(hdr["sizeof_hdr"]) != HEADER_SIZE:
             raise BadMagic(f"{path}: sizeof_hdr is not 348, not NIfTI-1")
     magic = bytes(hdr["magic"]).rstrip(b"\x00")
-    if magic not in _GOOD_MAGIC:
-        raise BadMagic(f"{path}: magic {magic!r} is not 'n+1'/'ni1'")
+    if magic != _GOOD_MAGIC:
+        raise BadMagic(f"{path}: magic {magic!r} is not 'n+1', not a "
+                       f"single-file NIfTI-1 image")
 
     code = int(hdr["datatype"])
     if code not in _DTYPE_FOR_CODE:
@@ -176,12 +178,12 @@ def read_nifti(path) -> ParsedNifti:
 
     dt = np.dtype(_DTYPE_FOR_CODE[code]).newbyteorder(order)
     n_vox = int(np.prod(shape))
-    if magic == b"n+1" and hdr["vox_offset"] < VOX_OFFSET:
+    if hdr["vox_offset"] < VOX_OFFSET:
         # a single-file image's voxels start after the header and the
         # 4-byte extension flag; a smaller offset would decode header bytes
         raise BadMagic(f"{path}: vox_offset {float(hdr['vox_offset']):g} is "
                        f"below {VOX_OFFSET} in a single-file image")
-    offset = max(int(hdr["vox_offset"]), HEADER_SIZE)
+    offset = int(hdr["vox_offset"])
     if len(blob) < offset + n_vox * dt.itemsize:
         raise IoFailure(f"{path}: truncated voxel payload")
     data = np.frombuffer(blob, dtype=dt, count=n_vox, offset=offset)

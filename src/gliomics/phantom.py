@@ -110,9 +110,6 @@ class PhantomSubject:
 class Cohort:
     subjects: tuple
 
-    def __len__(self):
-        return len(self.subjects)
-
 
 def _ellipsoid_radius(center_idx, semi_axes) -> np.ndarray:
     grids = np.ogrid[0:DIMS[0], 0:DIMS[1], 0:DIMS[2]]

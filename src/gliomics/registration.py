@@ -249,22 +249,6 @@ def _sample_index(fixed: Volume, cfg: MiConfig) -> np.ndarray:
     return index
 
 
-def mutual_information(fixed: Volume, moving: Volume, t: RigidTransform,
-                       cfg: MiConfig = MiConfig()) -> float:
-    """MI in bits between ``fixed`` and ``moving`` pushed through ``t``,
-    sampled at the fixed voxel centres.
-
-    Raises InsufficientOverlap when fewer than ``MIN_OVERLAP_FRACTION``
-    of the fixed samples land inside the moving volume.
-    """
-    ev = _MiEvaluator(fixed, moving, _sample_index(fixed, cfg))
-    mi, overlap = ev.evaluate(t.matrix())
-    if overlap < MIN_OVERLAP_FRACTION:
-        raise InsufficientOverlap(
-            f"only {overlap:.1%} of fixed voxels map into the moving volume")
-    return mi
-
-
 def _smoothed(vol: Volume) -> Volume:
     return vol.with_data(gaussian_filter(vol.data, COARSE_SIGMA))
 

@@ -179,21 +179,6 @@ class SvmModel:
             return np.full(len(X), self.bias)
         return self.kernel.matrix(X, self.support_vectors) @ self.duals + self.bias
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.where(self.decision_function(X) >= 0.0, 1, -1)
-
-
-def train_svm_binary(X: np.ndarray, y: np.ndarray, kernel: Kernel,
-                     C: float = 1.0, tol: float = SMO_TOL,
-                     max_passes: int = SMO_MAX_PASSES) -> SvmModel:
-    """Fit one binary model; ``y`` must contain both -1 and +1."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if set(np.unique(y)) != {-1.0, 1.0}:
-        raise SingleClass("binary training needs both -1 and +1 labels")
-    res = smo_solve(kernel.matrix(X, X), y, C, tol=tol, max_passes=max_passes)
-    return _binary_model(kernel, X, y, res)
-
 
 def _binary_model(kernel, X, y, res: SmoResult) -> SvmModel:
     keep = res.alphas > 1e-10

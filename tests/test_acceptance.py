@@ -16,14 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_evaluate import mann_whitney_auc
+from test_features import one_label_shape
+from test_mlp import model_of
 from test_stats import mann_whitney_p
 
 from gliomics.classify import fit_standardizer
 from gliomics.cli import main
 from gliomics.evaluate import roc_auc
 from gliomics.features import (TUMOR_LABELS, build_kind, ellipse_perimeter,
-                               extract_all, region_histogram, shannon_entropy,
-                               shape_features)
+                               extract_all, region_histogram, shannon_entropy)
 from gliomics.mlp import init_params, mlp_gradient_check, train_mlp
 from gliomics.phantom import (PhantomSpec, generate_cohort, generate_phantom,
                               sample_cohort_ratios, smooth_blob_volume)
@@ -31,7 +32,7 @@ from gliomics.registration import (EsConfig, MiConfig, RigidTransform,
                                    register_rigid, subtraction_map)
 from gliomics.experiments import run_experiment
 from gliomics.stats import chi2_sf, dunn_posthoc, kruskal_wallis
-from gliomics.svm import Kernel, smo_solve, train_svm_binary
+from gliomics.svm import Kernel, smo_solve, train_ova
 from gliomics.volume import resample
 from gliomics.volumetrics import component_volumes, volume_ratios
 
@@ -60,7 +61,7 @@ def test_criterion_1_feature_vector_contract(capsys):
                            modalities=("t2",), seed=1000 + i)
         vols, lm = generate_phantom(spec)
         vecs = extract_all(vols["t2"], lm)
-        widths = {k: len(v) for k, v in vecs.items()}
+        widths = {k: v.values.size for k, v in vecs.items()}
         if widths != KIND_WIDTHS:
             problems.append(f"phantom {i}: widths {widths}")
         present = set(np.unique(lm.data).tolist()) - {0}
@@ -116,14 +117,13 @@ def test_criterion_3_shape_suite(capsys):
 
     yy, xx = np.mgrid[0:45, 0:45]
     disk = ((yy - 22.0) ** 2 + (xx - 22.0) ** 2 <= 20.0 ** 2)[:, :, None]
-    solidity, ecc, _, _ = shape_features(disk, (1.0, 1.0, 1.0))
+    solidity, ecc, _, _ = one_label_shape(disk)
     checks.append(("disk eccentricity", ecc < 0.1))
     checks.append(("disk solidity", solidity > 0.95))
 
     rect = np.zeros((30, 30, 1), dtype=bool)
     rect[5:25, 8:20, 0] = True
-    checks.append(("rectangle solidity",
-                   shape_features(rect, (1.0, 1.0, 1.0))[0] == 1.0))
+    checks.append(("rectangle solidity", one_label_shape(rect)[0] == 1.0))
     elapsed = time.perf_counter() - t0
     failed = [name for name, good in checks if not good]
     report(capsys, 3, not failed,
@@ -175,8 +175,8 @@ def test_criterion_5_classifier_oracles(capsys):
     checks = []
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([-1.0, -1.0, 1.0, 1.0])
-    rbf = train_svm_binary(X, y, Kernel("rbf", gamma=1.0), C=10.0)
-    lin = train_svm_binary(X, y, Kernel("linear"), C=10.0)
+    [rbf], _ = train_ova(X, y, Kernel("rbf", gamma=1.0), [10.0])
+    [lin], _ = train_ova(X, y, Kernel("linear"), [10.0])
     rbf_errors = int(np.sum(rbf.predict(X) != y))
     lin_errors = int(np.sum(lin.predict(X) != y))
     checks.append(("xor", rbf_errors == 0 and lin_errors >= 1))
@@ -195,10 +195,7 @@ def test_criterion_5_classifier_oracles(capsys):
         float(np.max(margins[res.alphas >= C - 1e-8] - 1.0, initial=0.0)))
     checks.append(("kkt", kkt <= tol + 1e-9))
 
-    from gliomics.mlp import MlpModel, HIDDEN_UNITS
-    probe = MlpModel(np.zeros((3, HIDDEN_UNITS)), np.zeros(HIDDEN_UNITS),
-                     np.zeros((HIDDEN_UNITS, 3)), np.zeros(3), (0, 1, 2))
-    probe = probe.with_params(init_params(3, 3, seed=11))
+    probe = model_of(init_params(3, 3, seed=11), 3, 3)
     grad_err = mlp_gradient_check(probe, rng.normal(size=(6, 3)),
                                   rng.integers(3, size=6))
     checks.append(("gradient", grad_err < 1e-5))

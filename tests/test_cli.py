@@ -641,8 +641,12 @@ class TestTrainEvalCommand:
         {"train": {"svm_c_grid": 5}},
         {"train": {"seed": 7}},
         {"seed": 7},
+        {"train": {"rbf_gamma_grid": [float("inf")]}},
+        {"train": {"smo_tolerance": float("inf")}},
+        {"train": {"svm_c_grid": [1.0, float("nan")]}},
     ], ids=["list", "runs-text", "train-list", "grid-number", "train-seed",
-            "top-level-seed"])
+            "top-level-seed", "gamma-infinity", "tolerance-infinity",
+            "c-nan"])
     def test_malformed_config_exits_2_before_reading_tables(
             self, feature_dir, tmp_path, monkeypatch, config):
         def unread(path):

@@ -10,7 +10,7 @@ from gliomics.features import (TUMOR_LABELS, FeatureVector, _component_shape,
                                build_v1, build_v2, build_v3,
                                connected_components, ellipse_perimeter,
                                extract_all, intensity_block, region_histogram,
-                               shannon_entropy, shape_block, shape_features)
+                               shannon_entropy, shape_block)
 from gliomics.volume import LabelMap, Volume
 
 from conftest import make_labelmap
@@ -156,10 +156,10 @@ class TestVectors:
     def test_lengths(self, small_phantom):
         vols, lm = small_phantom
         v = vols["t1_post"]
-        assert len(build_v1(v, lm)) == 14
-        assert len(build_v2(v, lm)) == 70
-        assert len(build_v3(v, lm)) == 28
-        assert len(shape_block(lm)) == 20
+        assert build_v1(v, lm).values.shape == (14,)
+        assert build_v2(v, lm).values.shape == (70,)
+        assert build_v3(v, lm).values.shape == (28,)
+        assert shape_block(lm).values.shape == (20,)
 
     def test_v1_is_union_block(self, small_phantom):
         vols, lm = small_phantom
@@ -222,7 +222,7 @@ class TestVectors:
         vols, lm = small_phantom
         out = extract_all(vols["t2"], lm)
         assert set(out) == {"v1", "v2", "v3", "shape"}
-        assert [len(out[k]) for k in ("v1", "v2", "v3", "shape")] == \
+        assert [out[k].values.size for k in ("v1", "v2", "v3", "shape")] == \
             [14, 70, 28, 20]
 
     def test_unknown_kind(self, small_phantom):
@@ -260,6 +260,13 @@ class TestConnectedComponents:
         assert comps[0][0, 0, 0] and comps[1][5, 5, 5]
 
 
+def one_label_shape(component):
+    """The label-1 slots of ``shape_block`` on a label map whose only label
+    is ``component``, a single 26-connected component."""
+    data = np.asarray(component).astype(np.int16)
+    return shape_block(LabelMap(data, (1.0, 1.0, 1.0), np.eye(4))).values[:4]
+
+
 def disk_component(radius, size=51):
     yy, xx = np.mgrid[:size, :size]
     c = size // 2
@@ -280,8 +287,8 @@ class TestShape:
         assert ellipse_perimeter(3.0, 1.0) == pytest.approx(expected)
 
     def test_digital_disk(self):
-        solidity, ecc, axis_ratio, perimeter_ratio = shape_features(
-            disk_component(20), (1.0, 1.0, 1.0))
+        solidity, ecc, axis_ratio, perimeter_ratio = one_label_shape(
+            disk_component(20))
         assert ecc < 0.1
         assert axis_ratio < 1.1
         assert solidity > 0.95
@@ -292,37 +299,33 @@ class TestShape:
     def test_rectangle_solidity_exact(self):
         comp = np.zeros((20, 20, 1), dtype=bool)
         comp[4:16, 7:12, 0] = True
-        solidity, _, _, _ = shape_features(comp, (1.0, 1.0, 1.0))
+        solidity, _, _, _ = one_label_shape(comp)
         assert solidity == 1.0
 
     def test_elongated_rectangle_eccentric(self):
         comp = np.zeros((40, 40, 1), dtype=bool)
         comp[2:38, 10:13, 0] = True
-        _, ecc, axis_ratio, _ = shape_features(comp, (1.0, 1.0, 1.0))
+        _, ecc, axis_ratio, _ = one_label_shape(comp)
         assert ecc > 0.9
         assert axis_ratio > 3.0
 
     def test_single_voxel_conventions(self):
         comp = np.zeros((5, 5, 5), dtype=bool)
         comp[2, 2, 2] = True
-        solidity, ecc, axis_ratio, _ = shape_features(comp, (1.0, 1.0, 1.0))
+        solidity, ecc, axis_ratio, _ = one_label_shape(comp)
         assert ecc == 0.0
         assert axis_ratio == 1.0
         assert solidity == 1.0
-
-    def test_empty_component_rejected(self):
-        with pytest.raises(ValueError):
-            shape_features(np.zeros((3, 3, 3), dtype=bool), (1, 1, 1))
 
     def test_measures_largest_axial_slice(self):
         comp = np.zeros((9, 9, 3), dtype=bool)
         comp[4, 4, 0] = True                 # 1-pixel slice
         comp[2:7, 2:7, 1] = True             # 5x5 slice dominates
         comp[4, 4, 2] = True
-        blk = shape_features(comp, (1.0, 1.0, 1.0))
+        blk = one_label_shape(comp)
         square = np.zeros((9, 9, 1), dtype=bool)
         square[2:7, 2:7, 0] = True
-        expected = shape_features(square, (1.0, 1.0, 1.0))
+        expected = _component_shape(square, (1.0, 1.0, 1.0))
         assert np.array_equal(blk, expected)
 
     def test_shape_block_absent_label_zeros(self):
@@ -338,7 +341,7 @@ class TestShape:
         comp = np.zeros((12, 12, 12), dtype=bool)
         for v in voxels:
             comp[v] = True
-        expected = shape_features(comp, (1.0, 1.0, 1.0))
+        expected = _component_shape(comp, (1.0, 1.0, 1.0))
         assert np.allclose(shape_block(lm).values[8:12], expected)
 
     def test_shape_block_area_weighting(self):
@@ -352,8 +355,8 @@ class TestShape:
             comp_big[v] = True
         for v in small:
             comp_small[v] = True
-        blk_big = shape_features(comp_big, (1.0, 1.0, 1.0))
-        blk_small = shape_features(comp_small, (1.0, 1.0, 1.0))
+        blk_big = _component_shape(comp_big, (1.0, 1.0, 1.0))
+        blk_small = _component_shape(comp_small, (1.0, 1.0, 1.0))
         expected = 0.75 * blk_big + 0.25 * blk_small
         assert np.allclose(shape_block(lm).values[0:4], expected)
 

@@ -140,11 +140,19 @@ def test_missing_file(tmp_path):
 
 
 def test_corrupt_magic(tmp_path):
+    # "ni1" heads a .hdr/.img pair, whose voxels are in another file: with
+    # vox_offset 0 they would decode shifted by the header's own bytes, and
+    # a bare 348-byte header has no payload at all
     p = tmp_path / "bad.nii"
-    nifti.write_nifti(p, np.zeros((2, 2, 2)), (1, 1, 1), np.eye(4), np.float32)
-    _patch_header(p, magic=b"XXX")
-    with pytest.raises(BadMagic):
-        nifti.read_nifti(p)
+    data = np.arange(27, dtype=np.float32).reshape(3, 3, 3)
+    for magic, offset, size in ((b"XXX", nifti.VOX_OFFSET, None),
+                                (b"ni1", 0.0, None),
+                                (b"ni1", 0.0, nifti.HEADER_SIZE)):
+        nifti.write_nifti(p, data, (1, 1, 1), np.eye(4), np.float32)
+        _patch_header(p, magic=magic, vox_offset=offset)
+        p.write_bytes(p.read_bytes()[:size])
+        with pytest.raises(BadMagic, match="magic"):
+            nifti.read_nifti(p)
 
 
 def test_not_nifti_at_all(tmp_path):

@@ -116,7 +116,7 @@ class TestCohortSampling:
             assert ratios[2] > 0.0
 
     def test_cohort_layout(self, tiny_cohort):
-        assert len(tiny_cohort) == 9
+        assert len(tiny_cohort.subjects) == 9
         assert [s.grade for s in tiny_cohort.subjects] == [2] * 3 + [3] * 3 + [4] * 3
         assert tiny_cohort.subjects[0].subject_id == "g2_000"
         assert tiny_cohort.subjects[-1].subject_id == "g4_002"

@@ -6,8 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from gliomics import svm
 from gliomics.errors import NoConvergence, SingleClass
-from gliomics.svm import (Kernel, OvaSvm, SvmModel, smo_solve,
-                          train_ova, train_svm_binary)
+from gliomics.svm import Kernel, OvaSvm, SvmModel, smo_solve, train_ova
 
 XOR_X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_Y = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -236,33 +235,38 @@ class TestSmo:
                       max_passes=1)
 
 
+def fit(X, y, kernel, C=1.0):
+    """The one-against-all model of ``y`` at ``C`` alone."""
+    [model], _ = train_ova(X, y, kernel, [C])
+    return model
+
+
 class TestBinaryTraining:
+    """Two classes: ``train_ova`` solves the higher one as +1, so with -1/+1
+    labels its one model is the binary SVM of those labels."""
+
     def test_xor_rbf_solves_linear_does_not(self):
-        rbf = train_svm_binary(XOR_X, XOR_Y, Kernel("rbf", gamma=1.0), C=10.0)
-        linear = train_svm_binary(XOR_X, XOR_Y, Kernel("linear"), C=10.0)
+        rbf = fit(XOR_X, XOR_Y, Kernel("rbf", gamma=1.0), C=10.0)
+        linear = fit(XOR_X, XOR_Y, Kernel("linear"), C=10.0)
         assert np.array_equal(rbf.predict(XOR_X), XOR_Y)
         assert np.sum(linear.predict(XOR_X) != XOR_Y) >= 1
 
-    def test_labels_must_be_pm_one(self):
-        with pytest.raises(SingleClass):
-            train_svm_binary(XOR_X, np.array([0.0, 0.0, 1.0, 1.0]),
-                             Kernel("linear"))
-
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
-            train_svm_binary(XOR_X, np.ones(4), Kernel("linear"))
+            fit(XOR_X, np.ones(4), Kernel("linear"))
 
     def test_decision_sign_matches_predict(self, rng):
         X, labels = blobs(rng, 12, [(-2.0, 0.0), (2.0, 0.0)])
         y = np.where(labels == 0, -1.0, 1.0)
-        m = train_svm_binary(X, y, Kernel("linear"), C=1.0)
-        assert np.array_equal(np.sign(m.decision_function(X)), m.predict(X))
+        m = fit(X, y, Kernel("linear"), C=1.0)
+        assert np.array_equal(np.sign(m.models[0].decision_function(X)),
+                              m.predict(X))
 
     def test_only_support_vectors_kept(self):
         X = np.array([[1.0, 1.0], [2.0, 3.0], [-1.0, -1.0], [-2.0, -3.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        m = train_svm_binary(X, y, Kernel("linear"), C=100.0)
-        assert len(m.support_vectors) == 2
+        m = fit(X, y, Kernel("linear"), C=100.0)
+        assert len(m.models[0].support_vectors) == 2
 
 
 class TestOneVsAll:
@@ -315,7 +319,7 @@ class TestOneVsAll:
             assert len(ova.models) == len(solved)
             for v, model in zip(solved, ova.models):
                 y = np.where(classes == v, 1.0, -1.0)
-                ref = train_svm_binary(X, y, kernel, C=C)
+                ref = fit(X, y, kernel, C).models[0]
                 assert bits(model.duals) == bits(ref.duals)
                 assert bits(model.support_vectors) == \
                     bits(ref.support_vectors)
