@@ -102,14 +102,16 @@ def write_csv(path, rows, provenance: dict = None) -> Path:
     return write_bytes(path, buf.getvalue().encode())
 
 
-def read_csv(path, columns: dict = None, rest=str) -> list:
+def read_csv(path, columns: dict = None, rest=str, key=()) -> list:
     """Rows as dicts keyed by the header, ``#`` comment lines skipped.
 
     ``columns`` maps each column the table must have to the type its cells
     are read as (``str``, ``int`` or ``float``); other columns are read as
-    ``rest``.  Bytes that are not UTF-8 CSV text, a missing column and a
-    cell that does not convert raise GliomicsError naming the file, and the
-    row, counted from 1 after the header.
+    ``rest``.  No two rows may hold the same cells in the ``key`` columns,
+    which are names from ``columns``.  Bytes that are not UTF-8 CSV text, a
+    missing column, a cell that does not convert and a repeated key raise
+    GliomicsError naming the file, and the row, counted from 1 after the
+    header.
     """
     columns = columns or {}
     try:
@@ -121,7 +123,7 @@ def read_csv(path, columns: dict = None, rest=str) -> list:
     missing = [c for c in columns if c not in (reader.fieldnames or ())]
     if missing:
         raise GliomicsError(f"{path}: no {', '.join(missing)} column")
-    rows = []
+    rows, first_row = [], {}
     for n, record in enumerate(records, 1):
         row = {}
         for name, cell in record.items():
@@ -131,5 +133,11 @@ def read_csv(path, columns: dict = None, rest=str) -> list:
             except (TypeError, ValueError) as exc:
                 raise GliomicsError(f"{path}: row {n}, column {name}: cannot "
                                     f"read {cell!r} as {kind.__name__}") from exc
+        cells = tuple(record[name] for name in key)
+        if key and cells in first_row:
+            named = ", ".join(f"{k} {c}" for k, c in zip(key, cells))
+            raise GliomicsError(f"{path}: row {n}: {named} repeats row "
+                                f"{first_row[cells]}")
+        first_row[cells] = n
         rows.append(row)
     return rows

@@ -453,10 +453,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("GLIOMICS_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("GLIOMICS_LOG", "warning")
+    if level.lower() not in _LOG_LEVELS:
+        print(f"gliomics: GLIOMICS_LOG must be one of "
+              f"{', '.join(_LOG_LEVELS)}, got {level!r}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper(),
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -145,7 +145,8 @@ def write_feature_table(path, rows, kind: str, provenance: dict):
 def read_feature_table(path):
     """Inverse of write_feature_table -> (meta rows, X, kind)."""
     fixed = {"subject_id": str, "modality": str, "grade": int, "kind": str}
-    records = read_csv(path, fixed, rest=float)
+    records = read_csv(path, fixed, rest=float,
+                       key=("subject_id", "modality"))
     if not records:
         raise GliomicsError(f"feature table {path} is empty")
     fcols = [c for c in records[0] if c not in fixed]

@@ -369,7 +369,7 @@ def read_manifest(path):
     """
     path = Path(path)
     fixed = {"subject_id": str, "grade": int, "labelmap": str}
-    records = read_csv(path, fixed)
+    records = read_csv(path, fixed, key=("subject_id",))
     modalities = [c for c in (records[0] if records else ()) if c not in fixed]
     rows = []
     for rec in records:

@@ -8,13 +8,15 @@ two parts and budgets their combined time.
 """
 
 import functools
-import json
+import gzip
+import hashlib
 import math
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
+import readme
+from test_cli import _tree
 from test_evaluate import mann_whitney_auc
 from test_features import one_label_shape
 from test_mlp import model_of
@@ -310,69 +312,71 @@ def test_criterion_8b_ann_histogram_separation(capsys):
            f"runs; criterion-8 total {total:.0f}s (limit 900s)")
 
 
-def _walkthrough(base=""):
-    """The README walkthrough through ``main``, on the README's paths
-    below ``base`` (relative ones with the default).  Returns the wall time
-    of each stage run and the first stage that did not exit 0, or None."""
-    tables = [f"{base}feats/features_{k}.csv"
-              for k in ("v1", "v2", "v3", "shape")]
-    stages = {
-        "phantom": ["phantom", "--out", f"{base}cohort/", "--n-per-grade",
-                    "18,14,25"],
-        "features": ["features", f"{base}cohort/manifest.csv",
-                     "--out", f"{base}feats/", "--kinds", "v1,v2,v3,shape",
-                     "--jobs", "2"],
-        "volumetrics": ["volumetrics", f"{base}cohort/manifest.csv",
-                        "--out", f"{base}volumetrics.csv"],
-        "stats": ["stats", f"{base}volumetrics.csv", "--out", f"{base}stats/"],
-        "train-eval": ["train-eval", *tables, "--out", f"{base}reports/",
-                       "--config", f"{base}train.json"],
-        "subtract": ["subtract", f"{base}cohort/g2_000_t1_pre.nii.gz",
-                     f"{base}cohort/g2_000_t1_post.nii.gz",
-                     "--out", f"{base}sub/"],
-    }
-    seconds = {}
-    for name, argv in stages.items():
-        t0 = time.perf_counter()
-        if main([*argv, "--seed", "0"]) != 0:
-            return seconds, name
-        seconds[name] = time.perf_counter() - t0
-    return seconds, None
+# criterion 9's digest of each stage; an output change updates them
+STAGE_DIGESTS = {
+    "phantom":
+        "becf609befa506c1f6797857b5fb0a6ed30376be5923e00c5a23c562c1bc9bce",
+    "features":
+        "ed26b98b1625711c77aaec60cf1cf2559164acb8c4ffa2f1f1623011bf5dae94",
+    "volumetrics":
+        "e038678af31ef70529946d7fbbe6ccc789898a340443385af51991253b6289df",
+    "stats":
+        "fa9f66e2b5b03a68fce8f86021a02ce4745d2e07afff9e30de63b092116a373c",
+    "train-eval":
+        "d330f2c593794530e1fbfc4c4fb51b17fd512be387d886191b569ac78e4873b9",
+    "subtract":
+        "30aef173f5ef51d1b05ce3797ec58a5b190446946a47643f97dec33ef52ab549",
+}
+
+
+def stage_digest(tree: dict, out: Path) -> str:
+    """sha256 over the sorted (path, bytes) pairs of ``tree`` at or under
+    ``out``; a ``.nii.gz`` counts by its payload, as zlib builds differ."""
+    digest = hashlib.sha256()
+    for path in sorted((p for p in tree if out in (p, *p.parents)), key=str):
+        data = tree[path]
+        if path.name.endswith(".nii.gz"):
+            data = gzip.decompress(data)
+        digest.update(f"{path}\0".encode() + hashlib.sha256(data).digest())
+    return digest.hexdigest()
 
 
 def test_criterion_9_readme_walkthrough_end_to_end(capsys, tmp_path,
                                                    monkeypatch):
-    # the whole study on the default cohort: four tables, all three
-    # classifiers and all four experiments at n_runs 2, so the shape table
-    # is trained at C 100 across the grid; then a rerun in a second
-    # directory, on absolute paths, must give the same bytes, .nii.gz
-    # included: provenance digests cover settings, not input paths
+    # the README's walkthrough as written, with a train.json of the whole
+    # grid at n_runs 2, so the shape table is trained at C 100; a rerun on
+    # absolute paths must give the same bytes, as provenance digests cover
+    # settings, not input paths
     t0 = time.perf_counter()
-    runs = []
-    for side, base in (("a", ""), ("b", f"{tmp_path / 'b'}/")):
-        (tmp_path / side).mkdir()
-        monkeypatch.chdir(tmp_path / side)
-        Path("train.json").write_text(json.dumps({"n_runs": 2}))
-        runs.append(_walkthrough(base))
+    problems, seconds, outs = [], {}, {}     # side a's times and outputs
+    for side in ("a", "b"):
+        root = tmp_path / side
+        root.mkdir()
+        monkeypatch.chdir(root)
+        for argv in readme.commands(root if side == "b" else "",
+                                    {"n_runs": 2}):
+            start = time.perf_counter()
+            if main(argv) != 0:
+                problems.append(f"{side}: {argv[0]} did not exit 0")
+                break
+            seconds.setdefault(argv[0], time.perf_counter() - start)
+            outs.setdefault(argv[0], Path(argv[argv.index("--out") + 1]))
     elapsed = time.perf_counter() - t0
-    problems = [f"{side}: {failed} did not exit 0"
-                for side, (_, failed) in zip("ab", runs) if failed]
-    files = {side: sorted(p.relative_to(tmp_path / side)
-                          for p in (tmp_path / side).rglob("*") if p.is_file())
-             for side in ("a", "b")}
-    if files["a"] != files["b"]:
-        problems.append("the two runs wrote different file sets")
-    differ = [str(rel) for rel in files["a"] if rel in files["b"]
-              and (tmp_path / "a" / rel).read_bytes()
-              != (tmp_path / "b" / rel).read_bytes()]
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    digests = {k: stage_digest(a, out) for k, out in outs.items()}
+    if digests != STAGE_DIGESTS:
+        problems.append(f"stage digests differ, now {digests}")
+    differ = sorted(rel for rel in a.keys() | b.keys()
+                    if a.get(rel) != b.get(rel))
     if differ:
         problems.append(f"{len(differ)} files differ, first {differ[0]}")
-    reports = [p for p in files["a"] if p.parent.name == "reports"]
+    reports = [rel for rel in a if rel.parent.name == "reports"]
     if len(reports) != 145:
         problems.append(f"{len(reports)} train-eval files, want 144 + 1")
-    stages = ", ".join(f"{k} {v:.2f}s" for k, v in runs[0][0].items())
+    stages = ", ".join(f"{k} {v:.2f}s" for k, v in seconds.items())
     report(capsys, 9, not problems,
            f"README walkthrough on 18/14/25 twice, the second on absolute "
-           f"paths, {len(files['a'])} files each, byte-identical; first run "
-           f"{stages}; both in {elapsed:.1f}s"
+           f"paths, {len(a)} files each, byte-identical, "
+           f"{len(STAGE_DIGESTS)} stage digests pinned; first run {stages}; "
+           f"both in {elapsed:.1f}s"
            + (f"; failed: {problems}" if problems else ""))

@@ -2,20 +2,22 @@
 the README walks through, or is on ``ALLOWED`` with a comment naming its
 caller.
 
-The walkthrough runs in-process under ``sys.setprofile``, which records
-each Python function as it is called.  It runs every classifier and
-experiment at one run per cell, on one worker, since a pool's threads and
-processes run unprofiled.  A function that nothing reaches and nothing
+The README's walkthrough runs in-process under ``sys.setprofile``, which
+records each Python function as it is called.  It runs every classifier
+and experiment at one run per cell, on one worker, since a pool's threads
+and processes run unprofiled, on the smallest cohort where every cell
+trains (4 per grade).  A function that nothing reaches and nothing
 allowed calls is a second copy of the pipeline, or dead: delete it, or
 list it here with its caller.
 """
 
 import importlib
 import inspect
-import json
 import logging
 import pkgutil
 import sys
+
+import readme
 
 import gliomics
 from gliomics import cli, phantom
@@ -74,30 +76,6 @@ def defined() -> dict:
     return names
 
 
-def walkthrough(tmp) -> list:
-    """The README's walkthrough plus ``subtract``, each command's argv.
-
-    4 subjects per grade is the smallest cohort on which every cell
-    trains: a split of 3 leaves one training row per grade, and a
-    one-against-all SVM needs two."""
-    cohort, feats = tmp / "cohort", tmp / "feats"
-    config = tmp / "train.json"
-    config.write_text(json.dumps({"n_runs": 1}))
-    return [
-        ["phantom", "--out", str(cohort), "--n-per-grade", "4,4,4"],
-        ["features", str(cohort / "manifest.csv"), "--out", str(feats),
-         "--kinds", "v1,v2,v3,shape", "--jobs", "1"],
-        ["volumetrics", str(cohort / "manifest.csv"),
-         "--out", str(tmp / "volumetrics.csv")],
-        ["stats", str(tmp / "volumetrics.csv"), "--out", str(tmp / "stats")],
-        ["train-eval", *[str(feats / f"features_{kind}.csv")
-                         for kind in ("v1", "v2", "v3", "shape")],
-         "--out", str(tmp / "reports"), "--config", str(config)],
-        ["subtract", str(cohort / "g2_000_t1_pre.nii.gz"),
-         str(cohort / "g2_000_t1_post.nii.gz"), "--out", str(tmp / "sub")],
-    ]
-
-
 def test_every_function_is_reached_or_allowed(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(cli, "worker_count", lambda: 1)
     monkeypatch.setattr(phantom, "worker_count", lambda: 1)
@@ -110,10 +88,12 @@ def test_every_function_is_reached_or_allowed(tmp_path, monkeypatch, caplog):
         if event == "call":
             seen.add(frame.f_code)
 
+    argvs = readme.commands(tmp_path, {"n_runs": 1}, n_per_grade="4,4,4",
+                            jobs="1")
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
-        codes = [cli.main(argv) for argv in walkthrough(tmp_path)]
+        codes = [cli.main(argv) for argv in argvs]
     finally:
         sys.setprofile(previous)
     assert codes == [0] * len(codes)

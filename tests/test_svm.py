@@ -356,6 +356,28 @@ class TestOneVsAll:
         with pytest.raises(NoConvergence, match="10000 sweeps"):
             train_ova(X, classes, Kernel("linear"), [100.0])
 
+    def test_duplicate_rows_large_c_problem_stalls(self):
+        # 21 points in 4 dimensions, 12 of them the same row, linear kernel.
+        # Class 2 against the rest converges at C 1 and 10 (4,560 and
+        # 45,528 pair updates); at C 100 the gap is still 0.0029 after
+        # 210,000.  The same stall as above, drawn by the grid property;
+        # the Newton step on the free set should end it too, and this test
+        # must then assert the converged solution
+        o = -0.03
+        X = np.array([
+            [o, o, o, o], [o, o, 0.0, o], [o, o, o, o], [o, o, o, -1.75],
+            [o, o, o, o], [o, o, -4.38, o], [o, o, o, o], [o, o, o, o],
+            [-2.1, o, -0.52, o], [o, o, o, o], [o, o, o, o], [o, o, o, o],
+            [o, o, o, o], [o, 2.62, o, 0.98], [o, o, o, o], [o, -2.72, o, o],
+            [o, o, o, o], [0.89, o, o, 4.74], [o, o, o, 0.0],
+            [-5.0, o, o, 0.41], [o, 0.0, 0.0, -5.0]])
+        classes = np.array([0, 0, 1, 1, 2, 2, 0, 2, 2, 2, 2, 2, 2, 2, 0, 0, 0,
+                            2, 2, 2, 2])
+        grid, _ = train_ova(X, classes, Kernel("linear"), [1.0, 10.0])
+        assert len(grid) == 2
+        with pytest.raises(NoConvergence, match="10000 sweeps"):
+            train_ova(X, classes, Kernel("linear"), [100.0])
+
     def test_separable_grid_reuses_solves(self, rng):
         X, y = blobs(rng, 10, [(0.0, 6.0), (-6.0, -4.0), (6.0, -4.0)])
         grid, counts = train_ova(X, y, Kernel("linear"), [0.1, 1.0, 10.0,
