@@ -87,29 +87,45 @@ def select_svm_hyperparams(X_tr, y_tr, X_val, y_val, kernel_name: str,
                            cfg: TrainConfig = TrainConfig()):
     """Grid-search C (and gamma for rbf) by validation accuracy.
 
-    Inputs are already standardized.  Ties keep the earliest grid entry, so
-    selection is deterministic.  Returns (kernel, C, fitted OvaSvm) and logs
-    the search's SMO work and choice as one debug line.
+    Inputs are already standardized.  The grid runs gamma by gamma, C by C
+    within each, and the first grid entry with the highest accuracy wins,
+    so selection is deterministic.  A grid model that classifies every
+    validation row ends the search: no later entry can beat it, so the
+    later C values and gammas are not solved, and the choice, the model
+    and its decision values are those of the full search.  Returns
+    (kernel, C, fitted OvaSvm) and logs the search's SMO work and choice as
+    one debug line.
     """
     d = np.asarray(X_tr).shape[1]
     if kernel_name == "linear":
         kernels = [Kernel("linear")]
     else:
         kernels = [Kernel("rbf", gamma=m / d) for m in cfg.rbf_gamma_grid]
-    best = None
+    y_val = np.asarray(y_val)
+    accs = []       # validation accuracy of each grid model made, in order
+
+    def perfect(model) -> bool:
+        accs.append(float(np.mean(model.predict(X_val) == y_val)))
+        return accs[-1] == 1.0
+
+    models = []
     tally = Counter()
     for kern in kernels:
-        models, counts = train_ova(X_tr, y_tr, kern, cfg.svm_c_grid,
-                                   tol=cfg.smo_tolerance,
-                                   max_passes=cfg.smo_max_passes)
+        fits, counts = train_ova(X_tr, y_tr, kern, cfg.svm_c_grid,
+                                 tol=cfg.smo_tolerance,
+                                 max_passes=cfg.smo_max_passes, until=perfect)
+        models += fits
         tally.update(counts)
-        for C, model in zip(cfg.svm_c_grid, models):
-            acc = float(np.mean(model.predict(X_val) == np.asarray(y_val)))
-            if best is None or acc > best[0]:
-                best = (acc, kern, C, model)
-    log.debug("svm grid %s: solved %d, reused %d, pair updates %d; chose "
-              "gamma %s, C %g", kernel_name, tally["solved"], tally["reused"],
-              tally["updates"],
-              "-" if best[1].gamma is None else f"{best[1].gamma:.4g}",
-              best[2])
-    return best[1], best[2], best[3]
+        if accs[-1] == 1.0:
+            break
+    # the binary models of the grid points after a stop
+    tally["skipped"] = ((len(kernels) * len(cfg.svm_c_grid) - len(models))
+                        * len(models[0].models))
+    best = accs.index(max(accs))
+    kern = kernels[best // len(cfg.svm_c_grid)]
+    C = cfg.svm_c_grid[best % len(cfg.svm_c_grid)]
+    log.debug("svm grid %s: solved %d, reused %d, skipped %d, pair updates "
+              "%d; chose gamma %s, C %g", kernel_name, tally["solved"],
+              tally["reused"], tally["skipped"], tally["updates"],
+              "-" if kern.gamma is None else f"{kern.gamma:.4g}", C)
+    return kern, C, models[best]

@@ -333,8 +333,9 @@ def cmd_train_eval(args) -> int:
 # ------------------------------------------------------------------- stats
 
 def cmd_stats(args) -> int:
-    rows = read_csv(args.ratios, {"grade": int,
-                                  **dict.fromkeys(_RATIO_COLUMNS, float)})
+    rows = read_csv(args.ratios, {"subject_id": str, "grade": int,
+                                  **dict.fromkeys(_RATIO_COLUMNS, float)},
+                    key=("subject_id",))
     grades = sorted({r["grade"] for r in rows})
     if len(grades) < 3:
         raise GliomicsError(f"need all three grades, found {grades}")

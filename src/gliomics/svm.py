@@ -27,7 +27,10 @@ step.  If none did, no C-type cap ever bound, so every clipped step, every
 any C' >= C: a fresh solve at C' makes the same updates and returns
 bit-identical alphas, bias and passes.  That solve's model is reused for
 the later grid values.  An unsorted grid compares against the last C
-actually solved.
+actually solved.  ``train_ova`` can also stop after a grid model: a
+caller that can tell no later model will be chosen (the validation search
+in ``classify``) passes ``until``, and the C values after that model are
+not solved.
 
 A two-class problem is solved once, with the higher class as +1 (the
 LIBSVM convention; Chang & Lin, ACM TIST 2011), and stored as that one
@@ -214,16 +217,19 @@ class OvaSvm:
 
 
 def train_ova(X: np.ndarray, classes: np.ndarray, kernel: Kernel,
-              c_grid, tol: float = SMO_TOL, max_passes: int = SMO_MAX_PASSES):
+              c_grid, tol: float = SMO_TOL, max_passes: int = SMO_MAX_PASSES,
+              until=None):
     """One-against-all models (class vs rest), one OvaSvm per ``c_grid``
     value in grid order.
 
     All fits share one kernel matrix.  A class's solve is reused at a later
     C, as the same SvmModel, when no alpha reached the C it was solved at
     and the later C is not smaller.  With two classes only the higher one
-    is solved, and each OvaSvm holds that one model.  Returns ``(grid,
-    tally)``: the list of OvaSvm and a Counter of ``solved`` and ``reused``
-    models and the solves' pair ``updates``.
+    is solved, and each OvaSvm holds that one model.  ``until``, if given,
+    is called with each OvaSvm as soon as it is made; once it returns true
+    the grid ends there, and the later C values are not solved.  Returns
+    ``(grid, tally)``: the list of OvaSvm and a Counter of ``solved`` and
+    ``reused`` models and the solves' pair ``updates``.
     """
     X = np.asarray(X, dtype=np.float64)
     classes = np.asarray(classes)
@@ -255,4 +261,6 @@ def train_ova(X: np.ndarray, classes: np.ndarray, kernel: Kernel,
                 tally["reused"] += 1
             models.append(last[k][2])
         grid.append(OvaSvm(tuple(values), tuple(models), tuple(counts)))
+        if until is not None and until(grid[-1]):
+            break
     return grid, tally

@@ -618,10 +618,13 @@ class TestTrainEvalCommand:
         assert not out.exists()
 
     def test_debug_log_reports_svm_grid_and_keeps_bytes(self, tmp_path):
-        # grades far apart: some C leaves every alpha below it, so a later,
-        # larger C reuses that solve
+        # grade IV far from II and III, which overlap: the IV-vs-rest solve
+        # leaves every alpha below some C, so a larger C reuses it, while
+        # II and III keep the three-grade search short of a perfect
+        # validation score for a while
         rng = np.random.default_rng(4)
-        rows = [(f"s{g}{i}", "t2", g, rng.normal(10.0 * g, 1.0, size=14))
+        rows = [(f"s{g}{i}", "t2", g,
+                 rng.normal({2: 0.0, 3: 0.5, 4: 30.0}[g], 1.0, size=14))
                 for g in (2, 3, 4) for i in range(5)]
         table = write_feature_table(tmp_path / "features_v1.csv", rows, "v1",
                                     {"tool_version": "0", "seed": 0,
@@ -636,19 +639,23 @@ class TestTrainEvalCommand:
         lines = [ln for ln in out.stderr.splitlines() if "svm grid" in ln]
         # one line per SVM run: 2 runs x 4 experiments x 2 kernels
         assert len(lines) == 16
-        for field in ("solved", "reused", "pair updates", "gamma", "C"):
+        for field in ("solved", "reused", "skipped", "pair updates", "gamma",
+                      "C"):
             assert all(field in ln for ln in lines)
         assert not any("mirror" in ln for ln in lines)
-        assert any(int(re.search(r"reused (\d+)", ln)[1]) > 0 for ln in lines)
-        models = [int(re.search(r"solved (\d+)", ln)[1])
-                  + int(re.search(r"reused (\d+)", ln)[1]) for ln in lines]
+        counts = [{k: int(re.search(rf"{k} (\d+)", ln)[1])
+                   for k in ("solved", "reused", "skipped")} for ln in lines]
+        # a solve reused along C before a perfect grid point stopped the
+        # search, and a search that never stopped
+        assert any(c["reused"] > 0 and c["skipped"] > 0 for c in counts)
+        assert any(c["skipped"] == 0 for c in counts)
         # kernel by kernel (4 C values, then 3 gammas x 4 C values),
         # experiment by experiment (II-IV, III-IV, II-III, all), two runs
-        # each: a two-class search fits one model per grid point, the
-        # three-class one three
+        # each: a two-class search has one model per grid point, the
+        # three-class one three, each solved, reused or skipped
         grid = [4] * 8 + [12] * 8
-        assert models == [n * (1 if k % 8 < 6 else 3)
-                          for k, n in enumerate(grid)]
+        assert [sum(c.values()) for c in counts] == \
+            [n * (1 if k % 8 < 6 else 3) for k, n in enumerate(grid)]
         quiet = {p.name: p.read_bytes() for p in (tmp_path / "quiet").iterdir()}
         debug = {p.name: p.read_bytes() for p in (tmp_path / "debug").iterdir()}
         assert len(quiet) == 1 + 12 and quiet == debug
@@ -928,6 +935,9 @@ CSV_FAULTS = {
     "volumetrics-grade-x":
         ("stats", "volumetrics", _set_first_cell("grade", "x"),
          "row 1, column grade: cannot read 'x' as int"),
+    "volumetrics-repeat":
+        ("stats", "volumetrics", _repeat_first_row,
+         "row 10: subject_id g2_000 repeats row 1"),
     "volumetrics-ratio-na":
         ("stats", "volumetrics", _set_first_cell("ratio_pct_label1", "n/a"),
          "row 1, column ratio_pct_label1: cannot read 'n/a' as float"),

@@ -389,6 +389,20 @@ class TestOneVsAll:
             assert np.array_equal(model.decision_matrix(X),
                                   alone.decision_matrix(X))
 
+    def test_until_ends_the_grid_at_the_model_it_accepts(self, rng):
+        X, y = blobs(rng, 10, [(0.0, 6.0), (-6.0, -4.0), (6.0, -4.0)])
+        c_grid = [0.1, 1.0, 10.0, 100.0]
+        full, _ = train_ova(X, y, Kernel("linear"), c_grid)
+        seen = []
+        grid, counts = train_ova(
+            X, y, Kernel("linear"), c_grid,
+            until=lambda model: seen.append(model) or len(seen) == 2)
+        assert seen == grid and len(grid) == 2
+        assert counts["solved"] + counts["reused"] == 2 * 3
+        for model, alone in zip(grid, full):
+            assert bits(model.decision_matrix(X)) == \
+                bits(alone.decision_matrix(X))
+
     def test_no_convergence_surfaces_from_the_grid(self, rng):
         X, labels = blobs(rng, 25, [(-0.1, 0.0), (0.1, 0.0)], sd=2.0)
         with pytest.raises(NoConvergence):
