@@ -36,7 +36,6 @@ from .experiments import (CLASSIFIERS, EXPERIMENTS, read_feature_table,
 from .features import KIND_LENGTHS, build_kind, shape_block
 from .phantom import (DIMS, cohort_specs, read_manifest, stream_cohort,
                       worker_count, worker_map)
-from .registration import EsConfig, MiConfig, register_rigid, subtraction_map
 from .stats import dunn_posthoc, kruskal_wallis
 from .volume import TUMOR_LABELS, load_labelmap, load_volume, save_volume
 from .volumetrics import component_volumes, volume_ratios
@@ -97,6 +96,9 @@ def _train_config(train) -> TrainConfig:
 # ---------------------------------------------------------------- subtract
 
 def cmd_subtract(args) -> int:
+    # imported here: registration loads SciPy, which no other command needs
+    from .registration import (EsConfig, MiConfig, register_rigid,
+                               subtraction_map)
     pre = load_volume(args.pre)
     post = load_volume(args.post)
     out = Path(args.out)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GeometryMismatch, LengthMismatch, NegativeProbability
 from .volume import TUMOR_LABELS, LabelMap, Volume
@@ -134,6 +133,8 @@ def connected_components(mask: np.ndarray) -> list:
     the lexicographically smallest member voxel, so the ordering is
     deterministic for any input.
     """
+    # imported on first call, so that importing gliomics loads no SciPy
+    from scipy import ndimage
     mask = np.asarray(mask).astype(bool)
     labeled, n = ndimage.label(mask, structure=_STRUCT_26)
     if n == 0:
@@ -262,6 +263,8 @@ def shape_block(lm: LabelMap) -> FeatureVector:
     within the box is the full grid's order, so components come out in the
     same order.
     """
+    # imported on first call, so that importing gliomics loads no SciPy
+    from scipy import ndimage
     boxes = ndimage.find_objects(lm.data, max_label=max(TUMOR_LABELS))
     out = []
     for lab, box in zip(TUMOR_LABELS, boxes):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .artifacts import read_csv, write_csv
 from .errors import InfeasibleRatios
@@ -182,6 +181,8 @@ def _synth_modality(labels: np.ndarray, table: dict, weight: float,
         vals = rng.normal(mu, sd, size=n)
         vals[second] += HETEROGENEITY_SHIFT * sd
         arr[mask] = vals
+    # imported on first call, so that importing gliomics loads no SciPy
+    from scipy.ndimage import gaussian_filter
     return gaussian_filter(arr, sigma=SMOOTH_SIGMA)
 
 

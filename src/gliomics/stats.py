@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import TooFewGroups
 
@@ -34,6 +33,8 @@ def chi2_sf(x: float, df: int) -> float:
         raise ValueError("x must be >= 0")
     if df < 1:
         raise ValueError("df must be >= 1")
+    # imported on first call, so that importing gliomics loads no SciPy
+    from scipy.special import gammaincc
     return float(gammaincc(df / 2.0, x / 2.0))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from . import nifti
 from .errors import LabelOutOfRange, NonFiniteVoxel, UnsupportedDatatype
@@ -191,6 +190,8 @@ def resample(src: Volume, target: GridGeometry, mode: str = "linear",
     """
     if mode not in ("linear", "nearest"):
         raise ValueError(f"unknown mode {mode!r}")
+    # imported on first call, so that importing gliomics loads no SciPy
+    from scipy.ndimage import map_coordinates
     coords = _target_to_source_coords(src.affine, target, world_map)
     out = map_coordinates(src.data, coords, order=1 if mode == "linear" else 0,
                           mode="constant", cval=0.0)

@@ -3,9 +3,10 @@
 Most tests drive ``main(argv)`` in process.  Subprocess tests check three
 ways in: the console-script entry point declared in ``pyproject.toml``, run
 from source the way an installed wrapper runs it; ``python -m gliomics``; and
-the installed ``gliomics`` script, where one is on PATH.  The cohort and
-downstream artifacts are built once per module because phantom generation
-dominates the runtime.
+the installed ``gliomics`` script, where one is on PATH.  Others run a
+command in a fresh interpreter, for the modules it imports and for worker
+pools off fork.  The cohort and downstream artifacts are built once per
+module because phantom generation dominates the runtime.
 """
 
 import dataclasses
@@ -1049,20 +1050,17 @@ class TestEntryPoint:
     def test_no_command_is_usage_error(self):
         _check_usage_error(_run_declared_script())
 
-    def test_import_loads_no_slow_scipy_subpackage(self):
-        # every command pays for this import: scipy.stats alone adds about
-        # a second to it, so the package keeps to scipy.ndimage and
-        # scipy.special
-        code = "import sys, gliomics.cli; print(*sys.modules)"
+    def test_import_loads_no_scipy(self):
+        # every command pays for this import, and SciPy would double it:
+        # each module imports SciPy inside the function that calls it
+        code = "import sys, gliomics, gliomics.cli; print(*sys.modules)"
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True,
-                             env=_source_env())
+                             env=_source_env(), timeout=120)
         assert out.returncode == 0, out.stderr
-        slow = ("scipy.stats", "scipy.spatial", "scipy.optimize",
-                "scipy.linalg")
         loaded = out.stdout.split()
         assert "gliomics.cli" in loaded
-        assert [m for m in loaded if ".".join(m.split(".")[:2]) in slow] == []
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
     @pytest.mark.skipif(shutil.which("gliomics") is None,
                         reason="gliomics console script not installed")
@@ -1072,3 +1070,109 @@ class TestEntryPoint:
                                       capture_output=True, text=True))
         _check_usage_error(subprocess.run([script], capture_output=True,
                                           text=True))
+
+
+# Runs ``main`` on argv in a fresh interpreter, under the start method,
+# worker count and thread switch interval given, and prints the SciPy
+# modules loaded before and after the run as its last stdout line.  The
+# entry code sits under the ``__main__`` check, as spawn and forkserver
+# workers import this file again.
+_RUN_MAIN = """\
+import json
+import multiprocessing
+import sys
+
+from gliomics import cli
+
+
+def scipy_modules():
+    return sorted(n for n in sys.modules if n.split(".")[0] == "scipy")
+
+
+if __name__ == "__main__":
+    opts = json.loads(sys.argv[1])
+    if opts["start_method"]:
+        multiprocessing.set_start_method(opts["start_method"])
+    if opts["workers"]:
+        cli.worker_count = lambda: opts["workers"]
+    before = scipy_modules()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(opts["switch_interval"] or interval)
+    try:
+        code = cli.main(opts["argv"])
+    finally:
+        sys.setswitchinterval(interval)
+    print(json.dumps([before, scipy_modules()]))
+    sys.exit(code)
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    """``fresh(argv, **opts)`` runs ``main(argv)`` in a fresh interpreter,
+    asserts exit 0 and returns the SciPy modules loaded before the command
+    ran and after it."""
+    script = tmp_path_factory.mktemp("fresh") / "run_main.py"
+    script.write_text(_RUN_MAIN)
+
+    def run(argv, start_method=None, workers=None, switch_interval=None):
+        opts = {"argv": [str(a) for a in argv], "start_method": start_method,
+                "workers": workers, "switch_interval": switch_interval}
+        out = subprocess.run([sys.executable, str(script), json.dumps(opts)],
+                             capture_output=True, text=True,
+                             env=_source_env(), timeout=300)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout.splitlines()[-1])
+
+    return run
+
+
+class TestFreshInterpreter:
+    """Commands run from a fresh interpreter, as a user runs them.  The test
+    process has SciPy loaded and runs its pools under the platform's default
+    start method, so neither the imports a command pays for nor a pool off
+    fork shows in process."""
+
+    def test_volumetrics_and_train_eval_load_no_scipy(
+            self, fresh, cohort_dir, tmp_path):
+        _, loaded = fresh(["volumetrics", cohort_dir / "manifest.csv",
+                           "--out", tmp_path / "volumetrics.csv"])
+        assert loaded == []
+        table = _grid_table(tmp_path / "features_v1.csv")
+        _, loaded = fresh(["train-eval", table, "--runs", "1",
+                           "--out", tmp_path / "reports"])
+        assert loaded == []
+
+    def test_stats_loads_scipy_special_alone(self, fresh, volumetrics_csv,
+                                             tmp_path):
+        _, loaded = fresh(["stats", volumetrics_csv, "--out", tmp_path])
+        assert "scipy.special" in loaded
+        assert [n for n in loaded if n.startswith("scipy.ndimage")] == []
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pools_off_fork_write_the_in_process_bytes(
+            self, fresh, method, cohort_dir, feature_dir, tmp_path,
+            monkeypatch):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        table = _grid_table(tmp_path / "features_v1.csv")
+        argv = ["train-eval", table, "--runs", "1", "--out"]
+        monkeypatch.setattr(cli, "worker_count", lambda: 1)
+        assert main([*map(str, argv), str(tmp_path / "serial")]) == 0
+        fresh([*argv, tmp_path / "pooled"], start_method=method, workers=2)
+        assert _tree(tmp_path / "pooled") == _tree(tmp_path / "serial")
+        fresh(["features", cohort_dir / "manifest.csv", "--kinds", "v1,shape",
+               "--jobs", "2", "--out", tmp_path / "features"],
+              start_method=method)
+        assert _tree(tmp_path / "features") == _tree(feature_dir)
+
+    def test_first_scipy_import_races_on_phantom_threads(
+            self, fresh, cohort_dir, tmp_path):
+        # four threads, more than a 2-core host has, switching every
+        # microsecond, all reach SciPy's first import in their first subject
+        before, after = fresh(["phantom", "--out", tmp_path, "--n-per-grade",
+                               "3,3,3", "--seed", "11"],
+                              workers=4, switch_interval=1e-6)
+        assert before == []
+        assert "scipy.ndimage" in after
+        assert _tree(tmp_path) == _tree(cohort_dir)
