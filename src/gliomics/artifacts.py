@@ -23,6 +23,7 @@ import gzip
 import io
 import itertools
 import json
+import math
 import os
 import zlib
 from pathlib import Path
@@ -109,9 +110,9 @@ def read_csv(path, columns: dict = None, rest=str, key=()) -> list:
     are read as (``str``, ``int`` or ``float``); other columns are read as
     ``rest``.  No two rows may hold the same cells in the ``key`` columns,
     which are names from ``columns``.  Bytes that are not UTF-8 CSV text, a
-    missing column, a cell that does not convert and a repeated key raise
-    GliomicsError naming the file, and the row, counted from 1 after the
-    header.
+    missing column, a cell that does not convert, a ``float`` cell that is
+    not finite (``nan``, ``inf``) and a repeated key raise GliomicsError
+    naming the file, and the row, counted from 1 after the header.
     """
     columns = columns or {}
     try:
@@ -129,10 +130,13 @@ def read_csv(path, columns: dict = None, rest=str, key=()) -> list:
         for name, cell in record.items():
             kind = columns.get(name, rest)
             try:
-                row[name] = kind(cell)
+                row[name] = value = kind(cell)
             except (TypeError, ValueError) as exc:
                 raise GliomicsError(f"{path}: row {n}, column {name}: cannot "
                                     f"read {cell!r} as {kind.__name__}") from exc
+            if kind is float and not math.isfinite(value):
+                raise GliomicsError(f"{path}: row {n}, column {name}: "
+                                    f"{cell!r} is not a finite number")
         cells = tuple(record[name] for name in key)
         if key and cells in first_row:
             named = ", ".join(f"{k} {c}" for k, c in zip(key, cells))

@@ -205,8 +205,10 @@ def cmd_volumetrics(args) -> int:
 
 def _cost_rank(key) -> tuple:
     """A distinct cell's place in the queue, the costliest first so that no
-    long cell runs alone at the end: linear-kernel SVM cells took 64% of the
-    default study, and within a classifier ``all`` costs most, then II-III."""
+    long cell runs alone at the end: linear-kernel SVM cells took 73% of the
+    default study's cell time (182 of 251 s, each ``run_experiment`` call
+    timed in one process on a 2-core host), and within a classifier ``all``
+    costs most, then II-III."""
     _, classifier, experiment = key
     return (classifier != "svm-linear",
             {"all": 0, "II-III": 1}.get(experiment, 2))

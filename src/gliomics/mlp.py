@@ -5,22 +5,34 @@ The loss is the mean cross-entropy in nats.  Training keeps the parameter
 vector flat so the optimizer and the finite-difference gradient check share
 one code path.
 
-A training step is a handful of small matrix products on a few dozen rows,
-so its cost is mostly per-call numpy overhead.  A fit therefore sets up its
-memory once, and no step allocates:
+A training step is a handful of small matrix products on a few dozen
+samples, so its cost is mostly the number of numpy calls.  The step
+therefore works in column layout, one column per sample, with each bias
+folded into its layer's matrix product:
 
-* two ``_Slot``s, each a parameter vector and a gradient vector with their
-  ``(w1, b1, w2, b2)`` views.  A line-search trial is written into the spare
-  slot, and the two slots swap when the trial is accepted;
-* two ``_Rows``, the scratch arrays (hidden activations, probabilities,
-  backprop) of the training rows and of the validation rows.
+* the flat vector holds ``[w1; b1]`` and then ``[w2; b2]``, which are read
+  as a (d+1) x h and an (h+1) x k matrix, each with its bias as the last
+  row;
+* a fit stores its inputs once as a (d+1) x n block whose last row is
+  ones, and the hidden activations live in an (h+1) x n buffer whose last
+  row stays ones, so each layer is one ``np.dot`` with no bias added after
+  it, and the gradient products give the bias gradients as their last
+  rows;
+* a fit sets up its memory once, and no step allocates: two ``_Slot``s,
+  each a parameter vector and a gradient vector with their two layer
+  views (a line-search trial is written into the spare slot, and the two
+  slots swap when the trial is accepted), and two ``_Columns``, the inputs
+  and scratch arrays of the training samples and of the validation
+  samples.  Training and validation samples never share a product, as a
+  BLAS kernel's result for one sample can depend on how many others it
+  multiplies with.  The buffers are C-ordered: a product's floats depend
+  on its operands' memory order as well as on their values.
 
-Matrix products write through ``out=``.  The softmax's row max and row sum
-are taken column by column, which adds in the order ``np.add.reduce`` uses
-on this layout.  The cross-entropy gathers each row's true-class
-probability instead of summing ``onehot * log p``, whose other terms are
-zeros.  Each form computes the same floats as the plain expression it
-replaces (``tests/test_mlp.py`` keeps that plain form as the reference).
+The cross-entropy gathers each sample's true-class log probability, in
+sample order, instead of summing ``onehot * log p``, whose other terms are
+zeros, and negates their sum, not each term.  Each form computes the same
+floats as the plain expression it replaces (``tests/test_mlp.py`` keeps
+that plain form as the reference).
 
 The trainer calls the module-level ``loss_and_grad`` once per line-search
 trial, by that name: the benchmark's tracer rebinds it to time and count
@@ -56,8 +68,10 @@ class MlpModel:
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Class probabilities, rows summing to 1."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        rows = _Rows(len(X), *self.w2.shape)
-        return _forward(X, (self.w1, self.b1, self.w2, self.b2), rows)[1]
+        d, h = self.w1.shape
+        k = len(self.b2)
+        layers = _layers(self.params(), d, h, k)
+        return _forward(layers, _Columns(X, h, k)).T
 
     def predict_from(self, probs: np.ndarray) -> np.ndarray:
         """Class of each row of ``forward``'s probabilities."""
@@ -67,58 +81,63 @@ class MlpModel:
         return _pack(self.w1, self.b1, self.w2, self.b2)
 
 
+def _layers(theta: np.ndarray, d: int, h: int, k: int):
+    """The (d+1) x h and (h+1) x k views of ``theta``'s two layers, each
+    with its bias as the last row."""
+    split = (d + 1) * h
+    return theta[:split].reshape(d + 1, h), theta[split:].reshape(h + 1, k)
+
+
 class _Slot:
-    """A parameter vector and a gradient vector, each with its
-    ``(w1, b1, w2, b2)`` views; ``theta`` is used as the parameter vector
-    when given, else a fresh one is made."""
+    """A parameter vector and a gradient vector, each with its two layer
+    views; ``theta`` is used as the parameter vector when given, else a
+    fresh one is made."""
 
     def __init__(self, d: int, h: int, k: int, theta=None):
-        size = d * h + h + h * k + k
+        size = (d + 1) * h + (h + 1) * k
         self.theta = np.empty(size) if theta is None else theta
         self.grad = np.empty(size)
-        self.params = _unpack(self.theta, d, h, k)
-        self.grads = _unpack(self.grad, d, h, k)
+        self.layers = _layers(self.theta, d, h, k)
+        self.w2 = self.layers[1][:h]       # the output layer without bias
+        self.grads = _layers(self.grad, d, h, k)
 
 
-class _Rows:
-    """Scratch arrays of the loss on n rows, for h hidden units and k >= 2
-    outputs.  ``true`` is the flat index into ``probs`` of each row's class,
-    from ``onehot``; it is needed only by the loss."""
+class _Columns:
+    """The loss's inputs and scratch arrays on the n samples (rows) of
+    ``X``, one column per sample, for h hidden units and k >= 2 outputs.
+    The labels ``onehot`` (n x k), which only the loss needs, are kept as
+    its k x n transpose and as ``true``, the flat index into ``probs`` of
+    each sample's class."""
 
-    def __init__(self, n: int, h: int, k: int, onehot=None):
-        self.z = np.empty((n, h))          # activations, then tanh'
-        self.probs = np.empty((n, k))      # logits, probabilities, g_logits
-        self.columns = tuple(self.probs[:, j] for j in range(k))
-        self.row = np.empty((n, 1))        # row max, then row sum
-        self.row_flat = self.row[:, 0]
-        self.picked = np.empty(n)          # per row: -log p of its class
-        self.g_hidden = np.empty((n, h))
-        self.true = None if onehot is None else np.flatnonzero(onehot)
-
-
-def _reduce_rows(ufunc, rows: _Rows) -> np.ndarray:
-    """``ufunc.reduce(rows.probs, axis=1, keepdims=True)``, taken column by
-    column into ``rows.row``."""
-    cols, out = rows.columns, rows.row_flat
-    ufunc(cols[0], cols[1], out=out)
-    for col in cols[2:]:
-        ufunc(out, col, out=out)
-    return rows.row
+    def __init__(self, X: np.ndarray, h: int, k: int, onehot=None):
+        n, d = X.shape
+        self.x = np.ones((d + 1, n))       # inputs over a row of ones
+        self.x[:d] = X.T
+        self.hidden = np.ones((h + 1, n))  # activations over a row of ones
+        self.z = self.hidden[:h]           # activations, then tanh'
+        self.probs = np.empty((k, n))      # logits, probabilities, g_logits
+        self.per_sample = np.empty(n)      # max over classes, then sum
+        self.picked = np.empty(n)          # per sample: log p of its class
+        self.g_hidden = np.empty((h, n))
+        self.onehot = self.true = None
+        if onehot is not None:
+            self.onehot = np.ascontiguousarray(onehot.T)
+            self.true = np.argmax(onehot, axis=1) * n + np.arange(n)
 
 
-def _forward(X, params, rows: _Rows):
-    """Hidden activations and class probabilities, in ``rows``' buffers."""
-    w1, b1, w2, b2 = params
-    z, probs = rows.z, rows.probs
-    np.matmul(X, w1, out=z)
-    z += b1
+def _forward(layers, cols: _Columns) -> np.ndarray:
+    """Class probabilities (k x n), with the hidden activations left in
+    ``cols.z``."""
+    w1, w2 = layers
+    z, probs = cols.z, cols.probs
+    np.dot(w1.T, cols.x, out=z)
     np.tanh(z, out=z)
-    np.matmul(z, w2, out=probs)
-    probs += b2
-    probs -= _reduce_rows(np.maximum, rows)
+    np.dot(w2.T, cols.hidden, out=probs)
+    per_sample = cols.per_sample
+    probs -= np.maximum.reduce(probs, axis=0, out=per_sample)
     np.exp(probs, out=probs)
-    probs /= _reduce_rows(np.add, rows)
-    return z, probs
+    probs /= np.add.reduce(probs, axis=0, out=per_sample)
+    return probs
 
 
 def _mean_nll(probs, true, picked) -> float:
@@ -127,8 +146,7 @@ def _mean_nll(probs, true, picked) -> float:
     probs.take(true, out=picked, mode="clip")
     np.maximum(picked, 1e-300, out=picked)
     np.log(picked, out=picked)
-    np.negative(picked, out=picked)
-    return float(np.add.reduce(picked) / len(picked))
+    return -float(np.add.reduce(picked)) / len(picked)
 
 
 def _pack(w1, b1, w2, b2) -> np.ndarray:
@@ -160,26 +178,25 @@ def loss_and_grad(theta: np.ndarray, X: np.ndarray, onehot: np.ndarray,
                   d: int, h: int, k: int, *, work=None):
     """Mean cross-entropy and its gradient w.r.t. ``theta``.
 
-    ``work`` is a fit's ``(slot, rows)``, with ``theta`` the slot's
-    parameter vector and ``rows`` built for ``onehot``: the gradient returned
-    is then ``slot.grad``, which the next evaluation in that slot overwrites.
-    Without it, the buffers are made for this call.
+    ``work`` is a fit's ``(slot, cols)``, with ``theta`` the slot's
+    parameter vector and ``cols`` built from ``X`` and ``onehot``: the
+    gradient returned is then ``slot.grad``, which the next evaluation in
+    that slot overwrites.  Without it, the buffers are made for this call.
     """
-    slot, rows = work or (_Slot(d, h, k, theta), _Rows(len(X), h, k, onehot))
-    g_w1, g_b1, g_w2, g_b2 = slot.grads
-    z, probs = _forward(X, slot.params, rows)
-    loss = _mean_nll(probs, rows.true, rows.picked)
+    slot, cols = work or (_Slot(d, h, k, theta), _Columns(X, h, k, onehot))
+    g_w1, g_w2 = slot.grads
+    probs = _forward(slot.layers, cols)
+    loss = _mean_nll(probs, cols.true, cols.picked)
     g_logits = probs                  # probs are not needed past the loss
-    g_logits -= onehot
-    g_logits /= len(X)
-    np.matmul(z.T, g_logits, out=g_w2)
-    np.add.reduce(g_logits, axis=0, out=g_b2)
-    g_hidden = np.matmul(g_logits, slot.params[2].T, out=rows.g_hidden)
+    g_logits -= cols.onehot
+    g_logits /= len(cols.picked)
+    np.dot(cols.hidden, g_logits.T, out=g_w2)     # last row: g_b2
+    g_hidden = np.dot(slot.w2, g_logits, out=cols.g_hidden)
+    z = cols.z
     z *= z
     np.subtract(1.0, z, out=z)        # tanh' = 1 - z**2
     g_hidden *= z
-    np.matmul(X.T, g_hidden, out=g_w1)
-    np.add.reduce(g_hidden, axis=0, out=g_b1)
+    np.dot(cols.x, g_hidden.T, out=g_w1)          # last row: g_b1
     return loss, slot.grad
 
 
@@ -225,18 +242,18 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
     Y_val = _onehot(labels_val, classes)
     d, k, h = X.shape[1], len(classes), HIDDEN_UNITS
 
-    rows, val_rows = _Rows(len(X), h, k, Y), _Rows(len(X_val), h, k, Y_val)
+    cols, val_cols = _Columns(X, h, k, Y), _Columns(X_val, h, k, Y_val)
     cur, spare = _Slot(d, h, k, init_params(d, k, seed)), _Slot(d, h, k)
     restart = cfg.cg_restart_interval or cur.theta.size
-    loss, grad = loss_and_grad(cur.theta, X, Y, d, h, k, work=(cur, rows))
+    loss, grad = loss_and_grad(cur.theta, X, Y, d, h, k, work=(cur, cols))
     direction = -grad
     grad_change = np.empty_like(grad)
     step = 1.0
     history = {"train_loss": [loss], "val_loss": []}
 
     def val_loss(slot):
-        probs = _forward(X_val, slot.params, val_rows)[1]
-        return _mean_nll(probs, val_rows.true, val_rows.picked)
+        probs = _forward(slot.layers, val_cols)
+        return _mean_nll(probs, val_cols.true, val_cols.picked)
 
     best_val = val_loss(cur)
     best_theta = cur.theta.copy()
@@ -257,7 +274,7 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
             np.multiply(direction, t, out=spare.theta)
             spare.theta += cur.theta
             new_loss, new_grad = loss_and_grad(spare.theta, X, Y, d, h, k,
-                                               work=(spare, rows))
+                                               work=(spare, cols))
             if (math.isfinite(new_loss)
                     and new_loss <= loss + ARMIJO_C1 * t * slope):
                 accepted = True

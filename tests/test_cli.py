@@ -67,6 +67,18 @@ def volumetrics_csv(cohort_dir, tmp_path_factory):
     return path
 
 
+def _with_cell(src, dst, row, column, cell):
+    """A copy of the CSV ``src`` at ``dst`` with the cell at ``row``,
+    counted from 1 after the header, and ``column`` set to ``cell``."""
+    lines = src.read_text().splitlines()
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    fields = lines[header + row].split(",")
+    fields[lines[header].split(",").index(column)] = cell
+    lines[header + row] = ",".join(fields)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
 class TestPhantomCommand:
     def test_layout(self, cohort_dir):
         assert (cohort_dir / "manifest.csv").is_file()
@@ -450,6 +462,17 @@ class TestStatsCommand:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_ratio_exits_2(self, volumetrics_csv, tmp_path,
+                                      caplog, cell):
+        ratios = _with_cell(volumetrics_csv, tmp_path / "volumetrics.csv",
+                            4, "ratio_pct_label1", cell)
+        out = tmp_path / "stats"
+        assert main(["stats", str(ratios), "--out", str(out)]) == 2
+        assert (f"{ratios}: row 4, column ratio_pct_label1: {cell!r} is "
+                f"not a finite number") in caplog.text
+        assert not out.exists()
+
 
 class TestTrainEvalCommand:
     def test_ann_grid(self, feature_dir, tmp_path):
@@ -541,6 +564,23 @@ class TestTrainEvalCommand:
                      str(feature_dir / "features_shape.csv"), str(copy),
                      "--out", str(out), "--runs", "1"]) == 2
         assert f"{copy} are both v1 tables" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_exits_2(self, feature_dir, tmp_path, caplog,
+                                        cell):
+        # a grid that trains on the 3/3/3 cohort when every cell is finite
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classifiers": ["ann"],
+                                   "experiments": ["II-IV"],
+                                   "train": {"max_iters": 10}}))
+        table = _with_cell(feature_dir / "features_v1.csv",
+                           tmp_path / "features_v1.csv", 2, "f003", cell)
+        out = tmp_path / "reports"
+        assert main(["train-eval", str(table), "--out", str(out),
+                     "--runs", "1", "--config", str(cfg)]) == 2
+        assert (f"{table}: row 2, column f003: {cell!r} is not a finite "
+                f"number") in caplog.text
         assert not out.exists()
 
     def test_unknown_classifier_in_config(self, feature_dir, tmp_path):

@@ -155,34 +155,64 @@ class TestTraining:
 
 
 # Reference copy of the plain-expression network and its conjugate-gradient
-# loop.  The module computes the same floats in place; these must agree with
-# it byte for byte.
+# loop, in the module's column layout: one column per sample, each bias the
+# last row of its layer's matrix, multiplied by a row of ones.  The module
+# computes the same floats in place; these must agree with it byte for byte.
 
-def reference_forward(X, w1, b1, w2, b2):
-    z = np.tanh(X @ w1 + b1)
-    logits = z @ w2 + b2
-    logits = logits - logits.max(axis=1, keepdims=True)
+def reference_layers(theta, d, h, k):
+    split = (d + 1) * h
+    return theta[:split].reshape(d + 1, h), theta[split:].reshape(h + 1, k)
+
+
+def over_ones(A):
+    """``A`` over a row of ones, in C order as the module's buffers are: a
+    product's float order depends on its operands' memory order."""
+    return np.ascontiguousarray(np.vstack([A, np.ones((1, A.shape[1]))]))
+
+
+def reference_forward(X, W1, W2):
+    """Inputs and hidden activations, each over a row of ones, and the
+    class probabilities, columns summing to 1."""
+    x = over_ones(X.T)
+    hidden = over_ones(np.tanh(np.dot(W1.T, x)))
+    logits = np.dot(W2.T, hidden)
+    logits = logits - logits.max(axis=0)
     e = np.exp(logits)
-    return z, e / e.sum(axis=1, keepdims=True)
+    return x, hidden, e / e.sum(axis=0)
 
 
 def reference_cross_entropy(probs, onehot):
+    """Over k x n probabilities and their n x k one-hot labels."""
     p = np.clip(probs, 1e-300, None)
-    per_sample = -np.sum(onehot * np.log(p), axis=1)
-    return float(per_sample.mean())
+    return -float(np.mean(np.sum(onehot.T * np.log(p), axis=0)))
 
 
 def reference_loss_and_grad(theta, X, onehot, d, h, k):
-    w1, b1, w2, b2 = _unpack(theta, d, h, k)
-    z, probs = reference_forward(X, w1, b1, w2, b2)
+    W1, W2 = reference_layers(theta, d, h, k)
+    x, hidden, probs = reference_forward(X, W1, W2)
     loss = reference_cross_entropy(probs, onehot)
+    g_logits = (probs - onehot.T) / len(X)
+    g_W2 = np.dot(hidden, g_logits.T)
+    z = hidden[:h]
+    g_hidden = np.dot(W2[:h], g_logits) * (1.0 - z * z)
+    g_W1 = np.dot(x, g_hidden.T)
+    return loss, np.concatenate([g_W1.ravel(), g_W2.ravel()])
+
+
+def row_form_loss_and_grad(theta, X, onehot, d, h, k):
+    """The same loss in row layout, with the biases added after the
+    products: the same math, in another float order."""
+    w1, b1, w2, b2 = _unpack(theta, d, h, k)
+    z = np.tanh(X @ w1 + b1)
+    logits = z @ w2 + b2
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    p = np.clip(probs, 1e-300, None)
+    loss = float(np.mean(-np.sum(onehot * np.log(p), axis=1)))
     g_logits = (probs - onehot) / len(X)
-    g_w2 = z.T @ g_logits
-    g_b2 = g_logits.sum(axis=0)
     g_hidden = (g_logits @ w2.T) * (1.0 - z * z)
-    g_w1 = X.T @ g_hidden
-    g_b1 = g_hidden.sum(axis=0)
-    return loss, _pack(g_w1, g_b1, g_w2, g_b2)
+    return loss, _pack(X.T @ g_hidden, g_hidden.sum(axis=0),
+                       z.T @ g_logits, g_logits.sum(axis=0))
 
 
 def reference_train_mlp(X, labels, X_val, labels_val, cfg, seed):
@@ -198,7 +228,7 @@ def reference_train_mlp(X, labels, X_val, labels_val, cfg, seed):
 
     def val_loss(t):
         return reference_cross_entropy(
-            reference_forward(X_val, *_unpack(t, d, h, k))[1], Y_val)
+            reference_forward(X_val, *reference_layers(t, d, h, k))[2], Y_val)
 
     best_val = val_loss(theta)
     best_theta = theta.copy()
@@ -280,12 +310,27 @@ class TestAgainstReference:
                                                      HIDDEN_UNITS, k)
         assert same_bytes(loss, ref_loss)
         assert same_bytes(grad, ref_grad)
-        w1, b1, w2, b2 = _unpack(theta, d, HIDDEN_UNITS, k)
-        probs = MlpModel(w1, b1, w2, b2, tuple(range(k))).forward(X)
-        assert same_bytes(probs, reference_forward(X, w1, b1, w2, b2)[1])
+        probs = model_of(theta, d, k).forward(X)
+        ref_probs = reference_forward(
+            X, *reference_layers(theta, d, HIDDEN_UNITS, k))[2]
+        assert same_bytes(probs, ref_probs.T)
         # the validation loss of train_mlp
         val_loss = _mean_nll(probs, np.flatnonzero(Y), np.empty(len(X)))
-        assert same_bytes(val_loss, reference_cross_entropy(probs, Y))
+        assert same_bytes(val_loss, reference_cross_entropy(ref_probs, Y))
+
+    @given(problems(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_loss_and_gradient_match_the_row_form(self, problem, seed):
+        # the column layout only reorders the float operations
+        X, labels, _, _ = problem
+        d, k = X.shape[1], int(labels.max()) + 1
+        Y = _onehot(labels, tuple(range(k)))
+        theta = init_params(d, k, seed)
+        loss, grad = loss_and_grad(theta, X, Y, d, HIDDEN_UNITS, k)
+        row_loss, row_grad = row_form_loss_and_grad(theta, X, Y, d,
+                                                    HIDDEN_UNITS, k)
+        assert loss == pytest.approx(row_loss, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grad, row_grad, rtol=1e-12, atol=1e-12)
 
     @given(problems(), st.integers(0, 2**32 - 1),
            st.sampled_from((None, 1, 3, 7)), st.integers(1, 6))
