@@ -33,7 +33,7 @@ from .errors import GliomicsError
 from .experiments import (CLASSIFIERS, EXPERIMENTS, read_feature_table,
                           run_experiment, summary_csv_rows,
                           write_feature_table)
-from .features import KIND_LENGTHS, build_kind, shape_block
+from .features import KIND_LENGTHS, build_kind
 from .phantom import (DIMS, cohort_specs, read_manifest, stream_cohort,
                       worker_count, worker_map)
 from .stats import dunn_posthoc, kruskal_wallis
@@ -73,11 +73,21 @@ def _load_config(path) -> dict:
     return config
 
 
+def _no_repeats(names, what: str):
+    """Raise GliomicsError naming the first name ``names`` repeats."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise GliomicsError(f"{what} names {name!r} twice")
+        seen.add(name)
+
+
 def _config_names(config: dict, key: str, known) -> list:
     names = config.get(key, list(known))
     if not isinstance(names, list) or not all(n in known for n in names):
         raise GliomicsError(f"config {key} must be a list from {list(known)}, "
                             f"got {names!r}")
+    _no_repeats(names, f"config {key}")
     return names
 
 
@@ -121,14 +131,10 @@ def _extract_subject(row, modalities, kinds):
     returned so that it comes back alike from this or a worker process."""
     try:
         lm = load_labelmap(row["labelmap"])
-        # shape depends on the label map alone: one computation serves
-        # every modality's row
-        shape = shape_block(lm).values if "shape" in kinds else None
         out = {}
         for modality in modalities:
             v = load_volume(row[modality])
-            out[modality] = {kind: shape if kind == "shape"
-                             else build_kind(kind, v, lm).values
+            out[modality] = {kind: build_kind(kind, v, lm).values
                              for kind in kinds}
     except GliomicsError as exc:
         return exc
@@ -147,6 +153,7 @@ def cmd_features(args) -> int:
     for kind in kinds:
         if kind not in KIND_LENGTHS:
             raise GliomicsError(f"unknown feature kind {kind!r}")
+    _no_repeats(kinds, "--kinds")
     extract = partial(_extract_subject, modalities=modalities, kinds=kinds)
     results = []
     outcomes = worker_map(extract, rows, args.jobs, ProcessPoolExecutor)

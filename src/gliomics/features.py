@@ -11,7 +11,13 @@ range plus min, max, mean and Shannon entropy of the histogram (bits).
 
 The ``shape`` vector (20) holds four planar descriptors per label, averaged
 over the label's 26-connected components with the measured slice areas as
-weights.  Each component is measured on its largest-area axial slice.
+weights.  Each component is measured on its largest-area axial slice.  It
+depends on the label map alone, so ``build_kind`` computes it once per
+``LabelMap`` and every modality's pair reads that one vector.
+
+Every builder takes a volume and a label map on the same grid (dims,
+spacing and affine, as ``GridGeometry.matches`` compares them); a pair on
+different grids raises ``GeometryMismatch``.
 """
 
 from __future__ import annotations
@@ -95,9 +101,11 @@ def intensity_block(vals: np.ndarray) -> np.ndarray:
 
 
 def _require_match(v: Volume, lm: LabelMap):
-    if v.dims != lm.dims:
+    if not v.geometry.matches(lm.geometry):
         raise GeometryMismatch(
-            f"volume dims {v.dims} vs label map dims {lm.dims}")
+            f"volume grid (dims {v.dims}, spacing {v.spacing}) and label "
+            f"map grid (dims {lm.dims}, spacing {lm.spacing}) differ in "
+            f"dims, spacing or affine")
 
 
 def _label_blocks(v: Volume, lm: LabelMap, labels) -> np.ndarray:
@@ -137,8 +145,9 @@ def connected_components(mask: np.ndarray) -> list:
     from scipy import ndimage
     mask = np.asarray(mask).astype(bool)
     labeled, n = ndimage.label(mask, structure=_STRUCT_26)
-    if n == 0:
-        return []
+    if n <= 1:
+        # the whole mask, or nothing: no sizes to sort
+        return [mask] if n else []
     flat = labeled.ravel()
     sizes = np.bincount(flat, minlength=n + 1)
     ids, first = np.unique(flat, return_index=True)
@@ -159,7 +168,9 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     if len(pts) <= 2:
         return pts
     new_row = pts[1:, 0] != pts[:-1, 0]
-    pts = pts[np.r_[True, new_row] | np.r_[new_row, True]]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:-1] = new_row[:-1] | new_row[1:]
+    pts = pts[keep]
 
     def half(seq):
         out = []
@@ -191,17 +202,22 @@ def _hull_pixel_count(ij: np.ndarray) -> int:
         # degenerate (point or segment): the hull covers exactly the
         # region's own pixels
         return len(ij)
-    d = np.roll(hull, -1, axis=0) - hull
+    d = np.concatenate([hull[1:], hull[:1]]) - hull
     area2 = abs(int(np.sum(hull[:, 0] * d[:, 1] - hull[:, 1] * d[:, 0])))
     boundary = int(np.gcd(d[:, 0], d[:, 1]).sum())
     return (area2 + boundary) // 2 + 1
 
 
 def _boundary_perimeter(slice_mask: np.ndarray, sx: float, sy: float) -> float:
-    """Total length of exposed pixel edges (cracked-edge perimeter)."""
-    padded = np.pad(slice_mask.astype(np.int8), 1)
-    faces_x = int(np.abs(np.diff(padded, axis=0)).sum())  # edges of length sy
-    faces_y = int(np.abs(np.diff(padded, axis=1)).sum())  # edges of length sx
+    """Total length of exposed pixel edges (cracked-edge perimeter).
+
+    Along an axis every run of pixels exposes two edges, and a mask of
+    ``n`` pixels with ``p`` adjacent pairs along it holds ``n - p`` runs.
+    """
+    m = np.asarray(slice_mask, dtype=bool)
+    n = np.count_nonzero(m)
+    faces_x = 2 * (n - np.count_nonzero(m[1:] & m[:-1]))  # edges of length sy
+    faces_y = 2 * (n - np.count_nonzero(m[:, 1:] & m[:, :-1]))  # of length sx
     return faces_x * sy + faces_y * sx
 
 
@@ -283,9 +299,18 @@ def shape_block(lm: LabelMap) -> FeatureVector:
 
 
 def build_kind(kind: str, v: Volume, lm: LabelMap) -> FeatureVector:
-    """The one feature vector of ``kind`` for a (volume, label map) pair."""
+    """The one feature vector of ``kind`` for a (volume, label map) pair.
+
+    The shape vector is computed on the label map's first call and kept in
+    its memo; every later call for that label map returns the same vector.
+    """
     if kind == "shape":
-        return shape_block(lm)
+        _require_match(v, lm)
+        if "shape" not in lm._memo:
+            # looked up per call, like the builders below, so a wrapped
+            # shape_block sees each real computation
+            lm._memo["shape"] = shape_block(lm)
+        return lm._memo["shape"]
     # looked up per call, so a builder wrapped at run time is the one called
     builders = {"v1": build_v1, "v2": build_v2, "v3": build_v3}
     if kind not in builders:

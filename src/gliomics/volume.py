@@ -7,7 +7,8 @@ can be shared freely across threads.  All voxel data is held as float64
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,8 +62,14 @@ class GridGeometry:
         return self.affine[:3, :3] @ ii + self.affine[:3, 3:4]
 
     def matches(self, other: "GridGeometry", tol: float = 1e-6) -> bool:
-        return (self.dims == other.dims
-                and np.allclose(self.spacing, other.spacing, atol=tol)
+        """Same dims, and spacing and affine equal to within ``tol``."""
+        if self.dims != other.dims:
+            return False
+        # equal grids, the common case, need no tolerance test
+        if (self.spacing == other.spacing
+                and np.array_equal(self.affine, other.affine)):
+            return True
+        return (np.allclose(self.spacing, other.spacing, atol=tol)
                 and np.allclose(self.affine, other.affine, atol=tol))
 
 
@@ -87,8 +94,9 @@ class Volume:
     def dims(self) -> tuple:
         return self.data.shape
 
-    @property
+    @cached_property
     def geometry(self) -> GridGeometry:
+        # built once: the fields it reads never change
         return GridGeometry(self.dims, self.spacing, self.affine)
 
     def with_data(self, data: np.ndarray) -> "Volume":
@@ -102,11 +110,19 @@ TUMOR_LABELS = (1, 2, 3, 4, 5)
 @dataclass(frozen=True)
 class LabelMap:
     """Integer segmentation over {0..5}: 1 edema, 2 enhancing, 3 non-enhancing
-    solid, 4 cyst, 5 necrosis, 0 background."""
+    solid, 4 cyst, 5 necrosis, 0 background.
+
+    ``_memo`` holds values derived from the label map alone, each computed
+    on first use: ``features.build_kind`` keeps the shape vector there, so
+    every modality of a subject shares one computation.  The data is
+    read-only, so a memoized value never goes stale.
+    """
 
     data: np.ndarray
     spacing: tuple
     affine: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         raw = np.asarray(self.data)
@@ -131,8 +147,9 @@ class LabelMap:
     def dims(self) -> tuple:
         return self.data.shape
 
-    @property
+    @cached_property
     def geometry(self) -> GridGeometry:
+        # built once: the fields it reads never change
         return GridGeometry(self.dims, self.spacing, self.affine)
 
 

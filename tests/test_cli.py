@@ -29,15 +29,16 @@ import numpy as np
 import pytest
 
 import gliomics
-from gliomics import cli, phantom
+from gliomics import cli, features, phantom
 from gliomics.cli import build_parser, main
-from gliomics.errors import (BadMagic, IoFailure, LabelOutOfRange,
-                             NonFiniteVoxel)
+from gliomics.errors import (BadMagic, GeometryMismatch, IoFailure,
+                             LabelOutOfRange, NonFiniteVoxel)
 from gliomics.experiments import run_experiment, write_feature_table
 from gliomics.nifti import VOX_OFFSET, read_nifti
 from gliomics.phantom import generate_cohort, read_manifest, write_cohort
 from gliomics.registration import EsConfig, MiConfig
-from gliomics.volume import Volume, load_volume, save_volume
+from gliomics.volume import (LabelMap, Volume, load_labelmap, load_volume,
+                             save_labelmap, save_volume)
 
 
 @pytest.fixture(scope="module")
@@ -204,13 +205,13 @@ class TestFeaturesCommand:
 
     def test_shape_once_per_subject(self, cohort_dir, tmp_path, monkeypatch):
         calls = []
-        real = cli.shape_block
+        real = features.shape_block
 
         def counting(lm):
             calls.append(lm)
             return real(lm)
 
-        monkeypatch.setattr(cli, "shape_block", counting)
+        monkeypatch.setattr(features, "shape_block", counting)
         assert main(["features", str(cohort_dir / "manifest.csv"),
                      "--out", str(tmp_path)]) == 0
         assert len(calls) == 9
@@ -263,6 +264,26 @@ class TestFeaturesCommand:
         assert main(["features", str(cohort_dir / "manifest.csv"),
                      "--kinds", "v9", "--out", str(tmp_path)]) == 2
 
+    def test_repeated_kind_rejected(self, cohort_dir, tmp_path, caplog):
+        out = tmp_path / "feats"
+        assert main(["features", str(cohort_dir / "manifest.csv"),
+                     "--kinds", "v1,shape,v1", "--out", str(out)]) == 2
+        assert "--kinds names 'v1' twice" in caplog.text
+        assert not out.exists()
+
+    def test_label_map_off_the_volume_grid(self, cohort_dir, tmp_path,
+                                           caplog):
+        # every kind needs the pair on one grid, shape too, though it reads
+        # the label map alone
+        broken = tmp_path / "broken"
+        shutil.copytree(cohort_dir, broken)
+        assert _spacing_2mm(broken) == "g2_000"
+        manifest = str(broken / "manifest.csv")
+        assert main(["features", manifest, "--kinds", "shape",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "differ in dims, spacing or affine" in caplog.text
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_without_modalities_rejected(self, cohort_dir,
                                                   tmp_path):
         # with no modality column every table would hold only its header
@@ -281,7 +302,8 @@ class TestFeaturesCommand:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("corrupt", ["truncated_header", "label_7",
-                                         "half_gz", "nan_voxel"])
+                                         "half_gz", "nan_voxel",
+                                         "spacing_2mm"])
     def test_corrupt_subject_aborts_unless_skipped(self, cohort_dir,
                                                    feature_dir, tmp_path,
                                                    corrupt, jobs):
@@ -384,11 +406,22 @@ def _nan_voxel(cohort):
     return "g2_001"
 
 
+def _spacing_2mm(cohort):
+    """A label map with the volumes' dims on 2 mm voxels, over 1 mm volumes."""
+    seg = cohort / "g2_000_seg.nii.gz"
+    lm = load_labelmap(seg)
+    affine = lm.affine.copy()
+    affine[:3, :3] *= 2.0
+    save_labelmap(LabelMap(lm.data, (2.0, 2.0, 2.0), affine), seg)
+    return "g2_000"
+
+
 # name -> (corruption, the error the broken subject raises)
 CORRUPTIONS = {"truncated_header": (_truncate_header, BadMagic),
                "label_7": (_label_7, LabelOutOfRange),
                "half_gz": (_half_gz, IoFailure),
-               "nan_voxel": (_nan_voxel, NonFiniteVoxel)}
+               "nan_voxel": (_nan_voxel, NonFiniteVoxel),
+               "spacing_2mm": (_spacing_2mm, GeometryMismatch)}
 
 
 class TestVolumetricsCommand:
@@ -588,6 +621,21 @@ class TestTrainEvalCommand:
         cfg.write_text(json.dumps({"classifiers": ["svm-cubic"]}))
         assert main(["train-eval", str(feature_dir / "features_v1.csv"),
                      "--out", str(tmp_path), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key, names", [
+        ("classifiers", ["svm-rbf", "ann", "svm-rbf"]),
+        ("experiments", ["II-IV", "II-IV"])])
+    def test_repeated_name_in_config(self, feature_dir, tmp_path, caplog,
+                                     key, names):
+        # a repeat would train and write every summary row of it twice
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: names}))
+        out = tmp_path / "reports"
+        assert main(["train-eval", str(feature_dir / "features_v1.csv"),
+                     "--out", str(out), "--runs", "1",
+                     "--config", str(cfg)]) == 2
+        assert f"config {key} names {names[0]!r} twice" in caplog.text
+        assert not out.exists()
 
     def test_class_too_small_maps_to_exit_4(self, feature_dir, tmp_path):
         # three subjects per grade leave one training row per class, below

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gliomics import features
 from gliomics.errors import (GeometryMismatch, LengthMismatch,
                              NegativeProbability)
-from gliomics.features import (TUMOR_LABELS, FeatureVector, _component_shape,
+from gliomics.features import (KIND_LENGTHS, TUMOR_LABELS, FeatureVector,
+                               _boundary_perimeter, _component_shape,
                                _convex_hull, _hull_pixel_count, build_kind,
                                build_v1, build_v2, build_v3,
                                connected_components, ellipse_perimeter,
@@ -209,6 +211,14 @@ class TestVectors:
         with pytest.raises(GeometryMismatch):
             build(vol_of(np.ones((12, 12, 11))), lm)
 
+    @pytest.mark.parametrize("kind", list(KIND_LENGTHS))
+    def test_volume_on_other_spacing_rejected(self, kind):
+        # same dims, so only the spacing and affine tell the grids apart
+        lm = make_labelmap({2: [(3, 3, 3)], 5: [(6, 6, 6)]})
+        with pytest.raises(GeometryMismatch):
+            build_kind(kind, vol_of(np.ones((12, 12, 12)), (2.0, 2.0, 2.0)),
+                       lm)
+
     def test_feature_vector_validates_length(self):
         with pytest.raises(LengthMismatch):
             FeatureVector("v1", np.zeros(13))
@@ -251,6 +261,13 @@ class TestConnectedComponents:
         comps = connected_components(mask)
         assert len(comps) == 1
         assert comps[0].sum() == 2
+
+    def test_single_component_is_a_fresh_mask(self):
+        mask = np.zeros((5, 5, 5), dtype=np.int16)
+        mask[1:3, 1:4, 2] = 1
+        [comp] = connected_components(mask)
+        assert comp.dtype == bool and np.array_equal(comp, mask)
+        assert not np.shares_memory(comp, mask)
 
     def test_tie_broken_by_first_voxel(self):
         mask = np.zeros((8, 8, 8), dtype=bool)
@@ -465,3 +482,55 @@ class TestShapeAgainstReference:
     def test_shape_block_matches_uncropped_path(self, lm):
         assert np.array_equal(shape_block(lm).values,
                               reference_shape_block(lm))
+
+
+def reference_perimeter(mask, sx, sy):
+    """Exposed pixel edges counted as the 0/1 steps of the zero-padded mask."""
+    padded = np.pad(mask.astype(np.int8), 1)
+    faces_x = int(np.abs(np.diff(padded, axis=0)).sum())
+    faces_y = int(np.abs(np.diff(padded, axis=1)).sum())
+    return faces_x * sy + faces_y * sx
+
+
+@given(st.tuples(st.integers(1, 9), st.integers(1, 9)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_perimeter_matches_padded_steps(dims, data):
+    cells = data.draw(st.lists(st.booleans(), min_size=dims[0] * dims[1],
+                               max_size=dims[0] * dims[1]))
+    mask = np.array(cells).reshape(dims)
+    # a strided view, as _component_shape passes one axial slice
+    view = np.stack([mask, ~mask], axis=2)[:, :, 0]
+    assert _boundary_perimeter(view, 0.9, 1.3) == \
+        reference_perimeter(mask, 0.9, 1.3)
+
+
+class TestShapeMemo:
+    @given(label_maps())
+    @settings(max_examples=100, deadline=None)
+    def test_build_kind_is_bit_equal_to_a_fresh_shape_block(self, lm):
+        v = Volume(np.zeros(lm.dims), lm.spacing, lm.affine)
+        twin = LabelMap(lm.data.copy(), lm.spacing, lm.affine)
+        fresh = shape_block(LabelMap(lm.data, lm.spacing, lm.affine))
+        # the first call fills the memo, the second reads it; the twin is
+        # equal but built apart, so it holds a memo of its own
+        for vals in (build_kind("shape", v, lm).values,
+                     build_kind("shape", v, lm).values,
+                     build_kind("shape", v, twin).values):
+            assert vals.tobytes() == fresh.values.tobytes()
+
+    def test_extract_all_computes_shape_once(self, small_phantom,
+                                             monkeypatch):
+        vols, lm = small_phantom
+        lm = LabelMap(lm.data, lm.spacing, lm.affine)   # an empty memo
+        calls = []
+        real = features.shape_block
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(features, "shape_block", counting)
+        shapes = [extract_all(v, lm)["shape"] for v in vols.values()]
+        assert len(vols) == 3
+        assert len(calls) == 1 and calls[0] is lm
+        assert all(s is shapes[0] for s in shapes)

@@ -11,6 +11,7 @@ allowed calls is a second copy of the pipeline, or dead: delete it, or
 list it here with its caller.
 """
 
+import functools
 import importlib
 import inspect
 import logging
@@ -35,7 +36,6 @@ ALLOWED = {
     "registration.RigidTransform.compose",
     "registration.RigidTransform.from_matrix",    # called by compose
     "registration._matrix_to_euler_zyx",          # called by from_matrix
-    "volume.GridGeometry.matches",
     # bench/layers.py: the traced run's SMO pass count
     "svm.SmoResult.passes",
     # input the pipeline never writes itself, each with the test covering it
@@ -68,6 +68,8 @@ def defined() -> dict:
                     value = value.__func__
                 elif isinstance(value, property):
                     value = value.fget
+                elif isinstance(value, functools.cached_property):
+                    value = value.func
                 code = getattr(value, "__code__", None)
                 # leaves out imported names and the methods dataclass makes
                 if code is not None and code.co_filename == module.__file__:

@@ -103,6 +103,16 @@ class TestGeometry:
         assert identity_volume.geometry.matches(identity_volume.geometry)
         assert not identity_volume.geometry.matches(other.geometry)
 
+    def test_matches_within_tolerance_only(self, identity_volume):
+        def moved(delta):
+            affine = np.eye(4)
+            affine[0, 3] = delta
+            return Volume(identity_volume.data, (1.0, 1.0, 1.0 + delta),
+                          affine).geometry
+
+        assert identity_volume.geometry.matches(moved(1e-9))
+        assert not identity_volume.geometry.matches(moved(1e-3))
+
 
 class TestResample:
     def test_identity_is_exact(self, identity_volume):
