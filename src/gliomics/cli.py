@@ -261,7 +261,7 @@ def cmd_train_eval(args) -> int:
     classifiers = _config_names(config, "classifiers", CLASSIFIERS)
     experiments = _config_names(config, "experiments",
                                 [name for name, _ in EXPERIMENTS])
-    n_runs = config.get("n_runs", args.runs)
+    n_runs = config.get("n_runs", 100)          # runs per cell
     if type(n_runs) is not int or n_runs < 1:   # bool is no count
         raise GliomicsError(f"need a positive whole number of runs, "
                             f"got {n_runs!r}")
@@ -445,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                                           "feature tables")
     p.add_argument("features", nargs="+", help="per-kind feature CSV paths")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--runs", type=int, default=100)
     p.add_argument("--config", default=None, help="JSON config file")
     common(p)
     p.set_defaults(func=cmd_train_eval)

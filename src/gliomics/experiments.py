@@ -94,8 +94,8 @@ def run_once(X: np.ndarray, grades: np.ndarray, classifier: str,
 
 
 def run_experiment(X: np.ndarray, grades: np.ndarray, experiment: str,
-                   classifier: str, cfg: TrainConfig = TrainConfig(),
-                   n_runs: int = 100, seed0: int = 0,
+                   classifier: str, cfg: TrainConfig = TrainConfig(), *,
+                   n_runs: int, seed0: int = 0,
                    kind: str = "", modality: str = "") -> ExperimentSummary:
     """The full repeated-run protocol for one Table row."""
     if n_runs < 1:

@@ -3,16 +3,16 @@ full-batch Polak-Ribiere conjugate gradient on the cross-entropy loss.
 
 The loss is the mean cross-entropy in nats.  Training keeps the parameter
 vector flat so the optimizer and the finite-difference gradient check share
-one code path.
+one code path, and a model is that vector with its input width and classes.
 
 A training step is a handful of small matrix products on a few dozen
 samples, so its cost is mostly the number of numpy calls.  The step
 therefore works in column layout, one column per sample, with each bias
 folded into its layer's matrix product:
 
-* the flat vector holds ``[w1; b1]`` and then ``[w2; b2]``, which are read
-  as a (d+1) x h and an (h+1) x k matrix, each with its bias as the last
-  row;
+* the flat vector holds ``[w1; b1]`` and then ``[w2; b2]``, which
+  ``_layers`` alone reads, as a (d+1) x h and an (h+1) x k matrix, each
+  with its bias as the last row;
 * a fit stores its inputs once as a (d+1) x n block whose last row is
   ones, and the hidden activations live in an (h+1) x n buffer whose last
   row stays ones, so each layer is one ``np.dot`` with no bias added after
@@ -59,26 +59,20 @@ GRAD_CHECK_STEP = 1e-5   # central-difference step of mlp_gradient_check
 
 @dataclass(frozen=True)
 class MlpModel:
-    w1: np.ndarray        # (d, h)
-    b1: np.ndarray        # (h,)
-    w2: np.ndarray        # (h, K)
-    b2: np.ndarray        # (K,)
+    theta: np.ndarray     # the flat parameter vector train_mlp writes
+    n_features: int
     classes: tuple        # class values in output order
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Class probabilities, rows summing to 1."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        d, h = self.w1.shape
-        k = len(self.b2)
-        layers = _layers(self.params(), d, h, k)
+        h, k = HIDDEN_UNITS, len(self.classes)
+        layers = _layers(self.theta, self.n_features, h, k)
         return _forward(layers, _Columns(X, h, k)).T
 
     def predict_from(self, probs: np.ndarray) -> np.ndarray:
         """Class of each row of ``forward``'s probabilities."""
         return np.asarray(self.classes)[np.argmax(probs, axis=1)]
-
-    def params(self) -> np.ndarray:
-        return _pack(self.w1, self.b1, self.w2, self.b2)
 
 
 def _layers(theta: np.ndarray, d: int, h: int, k: int):
@@ -149,29 +143,15 @@ def _mean_nll(probs, true, picked) -> float:
     return -float(np.add.reduce(picked)) / len(picked)
 
 
-def _pack(w1, b1, w2, b2) -> np.ndarray:
-    return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
-
-
-def _unpack(theta: np.ndarray, d: int, h: int, k: int):
-    i = 0
-    w1 = theta[i:i + d * h].reshape(d, h); i += d * h
-    b1 = theta[i:i + h]; i += h
-    w2 = theta[i:i + h * k].reshape(h, k); i += h * k
-    b2 = theta[i:i + k]
-    return w1, b1, w2, b2
-
-
 def init_params(d: int, k: int, seed: int) -> np.ndarray:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) per layer, seed-determined."""
     rng = np.random.default_rng(seed)
-    lim1 = 1.0 / np.sqrt(d)
-    lim2 = 1.0 / np.sqrt(HIDDEN_UNITS)
-    w1 = rng.uniform(-lim1, lim1, size=(d, HIDDEN_UNITS))
-    b1 = rng.uniform(-lim1, lim1, size=HIDDEN_UNITS)
-    w2 = rng.uniform(-lim2, lim2, size=(HIDDEN_UNITS, k))
-    b2 = rng.uniform(-lim2, lim2, size=k)
-    return _pack(w1, b1, w2, b2)
+    slot = _Slot(d, HIDDEN_UNITS, k)
+    for layer, fan_in in zip(slot.layers, (d, HIDDEN_UNITS)):
+        lim = 1.0 / np.sqrt(fan_in)
+        layer[:-1] = rng.uniform(-lim, lim, size=layer[:-1].shape)
+        layer[-1] = rng.uniform(-lim, lim, size=layer.shape[1])
+    return slot.theta
 
 
 def loss_and_grad(theta: np.ndarray, X: np.ndarray, onehot: np.ndarray,
@@ -309,7 +289,7 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
 
     if val_loss(cur) < best_val:
         np.copyto(best_theta, cur.theta)
-    model = MlpModel(*_unpack(best_theta, d, h, k), classes)
+    model = MlpModel(best_theta, d, classes)
     return (model, history) if return_history else model
 
 
@@ -317,14 +297,12 @@ def mlp_gradient_check(model: MlpModel, X: np.ndarray, labels) -> float:
     """Max relative error of backprop vs central differences, all weights."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = _onehot(np.asarray(labels), model.classes)
-    d, h = model.w1.shape
-    k = model.w2.shape[1]
-    theta = model.params()
-    _, analytic = loss_and_grad(theta, X, Y, d, h, k)
+    d, h, k = model.n_features, HIDDEN_UNITS, len(model.classes)
+    _, analytic = loss_and_grad(model.theta, X, Y, d, h, k)
     numeric = np.empty_like(analytic)
-    for i in range(theta.size):
-        tp = theta.copy(); tp[i] += GRAD_CHECK_STEP
-        tm = theta.copy(); tm[i] -= GRAD_CHECK_STEP
+    for i in range(model.theta.size):
+        tp = model.theta.copy(); tp[i] += GRAD_CHECK_STEP
+        tm = model.theta.copy(); tm[i] -= GRAD_CHECK_STEP
         lp, _ = loss_and_grad(tp, X, Y, d, h, k)
         lm, _ = loss_and_grad(tm, X, Y, d, h, k)
         numeric[i] = (lp - lm) / (2.0 * GRAD_CHECK_STEP)

@@ -15,6 +15,9 @@ import numpy as np
 from . import nifti
 from .errors import LabelOutOfRange, NonFiniteVoxel, UnsupportedDatatype
 
+GRID_TOL = 1e-6   # largest spacing or affine gap between matching grids
+
+
 def _frozen(arr, dtype=np.float64) -> np.ndarray:
     """A read-only copy of ``arr`` as ``dtype``, in ``arr``'s memory order."""
     arr = np.array(arr, dtype=dtype)
@@ -61,16 +64,16 @@ class GridGeometry:
         ii = np.indices(self.dims, dtype=float).reshape(3, -1)
         return self.affine[:3, :3] @ ii + self.affine[:3, 3:4]
 
-    def matches(self, other: "GridGeometry", tol: float = 1e-6) -> bool:
-        """Same dims, and spacing and affine equal to within ``tol``."""
+    def matches(self, other: "GridGeometry") -> bool:
+        """Same dims, and spacing and affine equal to within ``GRID_TOL``."""
         if self.dims != other.dims:
             return False
         # equal grids, the common case, need no tolerance test
         if (self.spacing == other.spacing
                 and np.array_equal(self.affine, other.affine)):
             return True
-        return (np.allclose(self.spacing, other.spacing, atol=tol)
-                and np.allclose(self.affine, other.affine, atol=tol))
+        return (np.allclose(self.spacing, other.spacing, atol=GRID_TOL)
+                and np.allclose(self.affine, other.affine, atol=GRID_TOL))
 
 
 @dataclass(frozen=True)

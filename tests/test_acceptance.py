@@ -206,7 +206,7 @@ def test_criterion_5_classifier_oracles(capsys):
     labels = np.repeat([0, 1], 30)
     m1 = train_mlp(Xm, labels, Xm, labels, seed=3)
     m2 = train_mlp(Xm, labels, Xm, labels, seed=3)
-    checks.append(("determinism", np.array_equal(m1.params(), m2.params())))
+    checks.append(("determinism", np.array_equal(m1.theta, m2.theta)))
 
     elapsed = time.perf_counter() - t0
     failed = [name for name, good in checks if not good]

@@ -30,10 +30,12 @@ import pytest
 
 import gliomics
 from gliomics import cli, features, phantom
+from gliomics.classify import TrainConfig
 from gliomics.cli import build_parser, main
 from gliomics.errors import (BadMagic, GeometryMismatch, IoFailure,
                              LabelOutOfRange, NonFiniteVoxel)
-from gliomics.experiments import run_experiment, write_feature_table
+from gliomics.experiments import (CLASSIFIERS, EXPERIMENTS, run_experiment,
+                                  write_feature_table)
 from gliomics.nifti import VOX_OFFSET, read_nifti
 from gliomics.phantom import generate_cohort, read_manifest, write_cohort
 from gliomics.registration import EsConfig, MiConfig
@@ -78,6 +80,12 @@ def _with_cell(src, dst, row, column, cell):
     lines[header + row] = ",".join(fields)
     dst.write_text("\n".join(lines) + "\n")
     return dst
+
+
+def _train_config(path, **config):
+    """``config`` written at ``path`` as a train-eval JSON config."""
+    path.write_text(json.dumps(config))
+    return path
 
 
 class TestPhantomCommand:
@@ -511,12 +519,12 @@ class TestTrainEvalCommand:
     def test_ann_grid(self, feature_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "classifiers": ["ann"], "experiments": ["II-IV"],
+            "classifiers": ["ann"], "experiments": ["II-IV"], "n_runs": 2,
             "train": {"max_iters": 10},
         }))
         out = tmp_path / "reports"
         rc = main(["train-eval", str(feature_dir / "features_v1.csv"),
-                   "--out", str(out), "--runs", "2", "--config", str(cfg)])
+                   "--out", str(out), "--config", str(cfg)])
         assert rc == 0
         lines = (out / "summary.csv").read_text().splitlines()
         assert len(lines) == 2 + 3             # three modalities
@@ -545,7 +553,7 @@ class TestTrainEvalCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classifiers": ["svm-linear", "ann"],
                                    "experiments": ["II-IV", "all"],
-                                   "train": {"max_iters": 10}}))
+                                   "n_runs": 2, "train": {"max_iters": 10}}))
         for workers in (1, 2):
             monkeypatch.setattr(cli, "worker_count", lambda n=workers: n)
             touched = tmp_path / f"touched{workers}"
@@ -559,7 +567,7 @@ class TestTrainEvalCommand:
 
             grid = tmp_path / f"grid{workers}"
             argv = ["train-eval", str(table(("t2", "t1_pre", "t1_post"))),
-                    "--runs", "2", "--config", str(cfg)]
+                    "--config", str(cfg)]
             assert main([*argv, "--out", str(grid)]) == 0
             # modalities run in sorted order, so t1_post trains and the
             # others reuse its summaries
@@ -595,7 +603,7 @@ class TestTrainEvalCommand:
         out = tmp_path / "reports"
         assert main(["train-eval", str(feature_dir / "features_v1.csv"),
                      str(feature_dir / "features_shape.csv"), str(copy),
-                     "--out", str(out), "--runs", "1"]) == 2
+                     "--out", str(out)]) == 2
         assert f"{copy} are both v1 tables" in caplog.text
         assert not out.exists()
 
@@ -605,13 +613,13 @@ class TestTrainEvalCommand:
         # a grid that trains on the 3/3/3 cohort when every cell is finite
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classifiers": ["ann"],
-                                   "experiments": ["II-IV"],
+                                   "experiments": ["II-IV"], "n_runs": 1,
                                    "train": {"max_iters": 10}}))
         table = _with_cell(feature_dir / "features_v1.csv",
                            tmp_path / "features_v1.csv", 2, "f003", cell)
         out = tmp_path / "reports"
         assert main(["train-eval", str(table), "--out", str(out),
-                     "--runs", "1", "--config", str(cfg)]) == 2
+                     "--config", str(cfg)]) == 2
         assert (f"{table}: row 2, column f003: {cell!r} is not a finite "
                 f"number") in caplog.text
         assert not out.exists()
@@ -629,11 +637,10 @@ class TestTrainEvalCommand:
                                      key, names):
         # a repeat would train and write every summary row of it twice
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: names}))
+        cfg.write_text(json.dumps({key: names, "n_runs": 1}))
         out = tmp_path / "reports"
         assert main(["train-eval", str(feature_dir / "features_v1.csv"),
-                     "--out", str(out), "--runs", "1",
-                     "--config", str(cfg)]) == 2
+                     "--out", str(out), "--config", str(cfg)]) == 2
         assert f"config {key} names {names[0]!r} twice" in caplog.text
         assert not out.exists()
 
@@ -642,31 +649,22 @@ class TestTrainEvalCommand:
         # the SVM minimum
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classifiers": ["svm-linear"],
-                                   "experiments": ["II-IV"]}))
+                                   "experiments": ["II-IV"], "n_runs": 1}))
         assert main(["train-eval", str(feature_dir / "features_v1.csv"),
-                     "--out", str(tmp_path), "--runs", "1",
-                     "--config", str(cfg)]) == 4
+                     "--out", str(tmp_path), "--config", str(cfg)]) == 4
 
     def test_failed_grid_writes_no_reports(self, feature_dir, tmp_path):
         # ann succeeds on every modality; svm-linear then fails on the 3/3/3
         # cohort's one training row per class
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classifiers": ["ann", "svm-linear"],
-                                   "experiments": ["II-IV"],
+                                   "experiments": ["II-IV"], "n_runs": 1,
                                    "train": {"max_iters": 10}}))
         out = tmp_path / "reports"
         assert main(["train-eval", str(feature_dir / "features_v1.csv"),
-                     "--out", str(out), "--runs", "1",
-                     "--config", str(cfg)]) == 4
+                     "--out", str(out), "--config", str(cfg)]) == 4
         assert not list(out.glob("report_*.json"))
         assert not (out / "summary.csv").exists()
-
-    @pytest.mark.parametrize("runs", ["0", "-3"])
-    def test_runs_below_one_rejected(self, feature_dir, tmp_path, runs):
-        out = tmp_path / "reports"
-        assert main(["train-eval", str(feature_dir / "features_v1.csv"),
-                     "--out", str(out), "--runs", runs]) == 2
-        assert not out.exists()
 
     def test_bad_config_json(self, feature_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -683,6 +681,8 @@ class TestTrainEvalCommand:
     @pytest.mark.parametrize("config", [
         [1],
         {"n_runs": "abc"},
+        {"n_runs": 0},
+        {"n_runs": -3},
         {"train": [1]},
         {"train": {"svm_c_grid": 5}},
         {"train": {"seed": 7}},
@@ -690,9 +690,9 @@ class TestTrainEvalCommand:
         {"train": {"rbf_gamma_grid": [float("inf")]}},
         {"train": {"smo_tolerance": float("inf")}},
         {"train": {"svm_c_grid": [1.0, float("nan")]}},
-    ], ids=["list", "runs-text", "train-list", "grid-number", "train-seed",
-            "top-level-seed", "gamma-infinity", "tolerance-infinity",
-            "c-nan"])
+    ], ids=["list", "runs-text", "runs-zero", "runs-neg", "train-list",
+            "grid-number", "train-seed", "top-level-seed", "gamma-infinity",
+            "tolerance-infinity", "c-nan"])
     def test_malformed_config_exits_2_before_reading_tables(
             self, feature_dir, tmp_path, monkeypatch, config):
         def unread(path):
@@ -718,7 +718,8 @@ class TestTrainEvalCommand:
         table = write_feature_table(tmp_path / "features_v1.csv", rows, "v1",
                                     {"tool_version": "0", "seed": 0,
                                      "config_digest": "0" * 16})
-        argv = ["train-eval", str(table), "--runs", "2"]
+        cfg = _train_config(tmp_path / "cfg.json", n_runs=2)
+        argv = ["train-eval", str(table), "--config", str(cfg)]
         assert main([*argv, "--out", str(tmp_path / "quiet")]) == 0
         out = subprocess.run(
             [sys.executable, "-m", "gliomics", *argv,
@@ -758,17 +759,18 @@ class TestTrainEvalCommand:
         table = write_feature_table(tmp_path / "features_v1.csv", rows, "v1",
                                     {"tool_version": "0", "seed": 0,
                                      "config_digest": "0" * 16})
+        # the defaults, spelled out in full or in part
+        spelled = {"classifiers": list(CLASSIFIERS),
+                   "experiments": [name for name, _ in EXPERIMENTS],
+                   "train": dataclasses.asdict(TrainConfig())}
         outputs = []
-        for i, config in enumerate([None, {"n_runs": 2},
+        for i, config in enumerate([{"n_runs": 2},
+                                    {"n_runs": 2, **spelled},
                                     {"n_runs": 2,
                                      "train": {"max_iters": 200}}]):
-            argv = ["train-eval", str(table), "--out", str(tmp_path / f"o{i}")]
-            if config is None:
-                argv += ["--runs", "2"]
-            else:
-                (tmp_path / f"c{i}.json").write_text(json.dumps(config))
-                argv += ["--config", str(tmp_path / f"c{i}.json")]
-            assert main(argv) == 0
+            cfg = _train_config(tmp_path / f"c{i}.json", **config)
+            assert main(["train-eval", str(table), "--out",
+                         str(tmp_path / f"o{i}"), "--config", str(cfg)]) == 0
             outputs.append({p.name: p.read_bytes()
                             for p in (tmp_path / f"o{i}").iterdir()})
         assert len(outputs[0]) == 1 + 12       # summary, 3 x 4 reports
@@ -806,13 +808,14 @@ class TestTrainEvalWorkers:
     def test_same_bytes_and_debug_lines_for_any_worker_count(
             self, tmp_path, monkeypatch, caplog):
         table = _grid_table(tmp_path / "features_v1.csv")
+        cfg = _train_config(tmp_path / "cfg.json", n_runs=2)
         trees, lines = {}, {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(cli, "worker_count", lambda n=workers: n)
             out = tmp_path / str(workers)
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="gliomics"):
-                assert main(["train-eval", str(table), "--runs", "2",
+                assert main(["train-eval", str(table), "--config", str(cfg),
                              "--out", str(out)]) == 0
             trees[workers] = _tree(out)
             lines[workers] = [r.getMessage() for r in caplog.records
@@ -830,7 +833,8 @@ class TestTrainEvalWorkers:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(cli, "worker_count", lambda: 1)
         table = _grid_table(tmp_path / "features_v1.csv")
-        assert main(["train-eval", str(table), "--runs", "1",
+        cfg = _train_config(tmp_path / "cfg.json", n_runs=1)
+        assert main(["train-eval", str(table), "--config", str(cfg),
                      "--out", str(tmp_path / "reports")]) == 0
         assert len(list((tmp_path / "reports").iterdir())) == 1 + 3 * 12
 
@@ -841,15 +845,14 @@ class TestTrainEvalWorkers:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classifiers": ["ann", "svm-linear"],
                                    "experiments": ["II-IV", "all"],
-                                   "train": {"max_iters": 10}}))
+                                   "n_runs": 1, "train": {"max_iters": 10}}))
         errors = {}
         for workers in (1, 2):
             monkeypatch.setattr(cli, "worker_count", lambda n=workers: n)
             out = tmp_path / str(workers)
             caplog.clear()
             assert main(["train-eval", str(feature_dir / "features_v1.csv"),
-                         "--out", str(out), "--runs", "1",
-                         "--config", str(cfg)]) == 4
+                         "--out", str(out), "--config", str(cfg)]) == 4
             assert not out.exists()
             errors[workers] = [r.getMessage() for r in caplog.records
                                if r.levelno == logging.ERROR]
@@ -870,13 +873,13 @@ class TestTrainEvalWorkers:
                                      "config_digest": "0" * 16})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classifiers": ["svm-rbf"],
-                                   "experiments": ["II-IV", "II-III"]}))
+                                   "experiments": ["II-IV", "II-III"],
+                                   "n_runs": 2}))
         for workers in (1, 2):
             monkeypatch.setattr(cli, "worker_count", lambda n=workers: n)
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="gliomics"):
-                assert main(["train-eval", str(table), "--runs", "2",
-                             "--config", str(cfg),
+                assert main(["train-eval", str(table), "--config", str(cfg),
                              "--out", str(tmp_path / str(workers))]) == 4
             # one line per run of II-III, then the failure
             messages = [r.getMessage() for r in caplog.records]
@@ -889,11 +892,10 @@ class TestTrainEvalWorkers:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classifiers": ["ann"],
                                    "experiments": ["II-IV", "III-IV"],
-                                   "train": {"max_iters": 10}}))
+                                   "n_runs": 1, "train": {"max_iters": 10}}))
         with caplog.at_level(logging.INFO, logger="gliomics"):
             assert main(["train-eval", str(feature_dir / "features_shape.csv"),
-                         "--out", str(tmp_path), "--runs", "1",
-                         "--config", str(cfg)]) == 0
+                         "--out", str(tmp_path), "--config", str(cfg)]) == 0
         [line] = [r.getMessage() for r in caplog.records
                   if r.levelno == logging.INFO]
         # the shape table repeats each subject's row under all 3 modalities
@@ -1048,8 +1050,6 @@ class TestMalformedCsv:
         out = tmp_path / "out"
         argv = [command, str(bad), "--out",
                 str(out / "v.csv" if command == "volumetrics" else out)]
-        if command == "train-eval":
-            argv += ["--runs", "1"]
         assert main(argv) == 2
         assert f"{bad}: {message}" in caplog.text
         assert not out.exists()
@@ -1082,11 +1082,17 @@ class TestParser:
         ["volumetrics", "m.csv", "--out", "v.csv", "--seed", "1"],
         ["stats", "v.csv", "--out", "s", "--seed", "1"],
         ["train-eval", "f.csv", "--out", "r", "--config", "t.json",
-         "--runs", "2", "--seed", "1"],
+         "--seed", "1"],
         ["subtract", "a.nii", "b.nii", "--out", "o", "--seed", "1"],
     ])
     def test_documented_flags_parse(self, argv):
         assert build_parser().parse_args(argv).seed == 1
+
+    def test_train_eval_has_no_runs_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-eval", "f.csv", "--out", "r", "--runs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --runs 2" in capsys.readouterr().err
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -1227,7 +1233,8 @@ class TestFreshInterpreter:
                            "--out", tmp_path / "volumetrics.csv"])
         assert loaded == []
         table = _grid_table(tmp_path / "features_v1.csv")
-        _, loaded = fresh(["train-eval", table, "--runs", "1",
+        cfg = _train_config(tmp_path / "cfg.json", n_runs=1)
+        _, loaded = fresh(["train-eval", table, "--config", cfg,
                            "--out", tmp_path / "reports"])
         assert loaded == []
 
@@ -1244,7 +1251,8 @@ class TestFreshInterpreter:
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
         table = _grid_table(tmp_path / "features_v1.csv")
-        argv = ["train-eval", table, "--runs", "1", "--out"]
+        cfg = _train_config(tmp_path / "cfg.json", n_runs=1)
+        argv = ["train-eval", table, "--config", cfg, "--out"]
         monkeypatch.setattr(cli, "worker_count", lambda: 1)
         assert main([*map(str, argv), str(tmp_path / "serial")]) == 0
         fresh([*argv, tmp_path / "pooled"], start_method=method, workers=2)

@@ -10,8 +10,8 @@ from gliomics.classify import TrainConfig
 from gliomics.errors import EmptyMatrix, GliomicsError, SingleClass
 from gliomics.mlp import (ARMIJO_C1, HIDDEN_UNITS, MAX_BACKTRACKS,
                           VAL_CHECK_INTERVAL, MlpModel, _mean_nll, _onehot,
-                          _pack, _unpack, init_params, loss_and_grad,
-                          mlp_gradient_check, train_mlp)
+                          init_params, loss_and_grad, mlp_gradient_check,
+                          train_mlp)
 
 
 def blobs(rng, n_per_class, centers, sd=0.5):
@@ -23,14 +23,13 @@ def blobs(rng, n_per_class, centers, sd=0.5):
 
 
 def zero_model(d=2, k=3):
-    return MlpModel(np.zeros((d, HIDDEN_UNITS)), np.zeros(HIDDEN_UNITS),
-                    np.zeros((HIDDEN_UNITS, k)), np.zeros(k),
-                    tuple(range(k)))
+    h = HIDDEN_UNITS
+    return model_of(np.zeros((d + 1) * h + (h + 1) * k), d, k)
 
 
 def model_of(theta, d, k):
     """The network over classes 0..k-1 whose flat parameters are ``theta``."""
-    return MlpModel(*_unpack(theta, d, HIDDEN_UNITS, k), tuple(range(k)))
+    return MlpModel(theta, d, tuple(range(k)))
 
 
 def predict(model, X):
@@ -49,24 +48,34 @@ class TestForward:
         assert np.allclose(probs, 0.25)
 
     def test_predict_maps_back_to_class_values(self, rng):
-        m = MlpModel(np.zeros((2, HIDDEN_UNITS)), np.zeros(HIDDEN_UNITS),
-                     np.zeros((HIDDEN_UNITS, 2)),
-                     np.array([5.0, 0.0]), (2, 4))
+        theta = zero_model(d=2, k=2).theta
+        reference_layers(theta, 2, HIDDEN_UNITS, 2)[1][-1] = [5.0, 0.0]
+        m = MlpModel(theta, 2, (2, 4))
         # bias favors the first output column, so everything maps to class 2
         assert np.all(predict(m, rng.normal(size=(6, 2))) == 2)
 
-    def test_params_round_trip(self):
-        m = model_of(init_params(2, 3, seed=1), 2, 3)
-        back = model_of(m.params(), 2, 3)
-        assert np.array_equal(back.w1, m.w1)
-        assert np.array_equal(back.b1, m.b1)
-        assert np.array_equal(back.w2, m.w2)
-        assert np.array_equal(back.b2, m.b2)
+
+class TestInitParams:
+    @pytest.mark.parametrize("d, k, seed", [(1, 2, 0), (3, 3, 11),
+                                            (14, 2, 7), (70, 3, 2**32 - 1)])
+    def test_draws_match_an_independent_layout(self, d, k, seed):
+        # the four draws of default_rng(seed), in this order, laid out as
+        # [w1; b1] and then [w2; b2], each bias the last row of its layer
+        rng = np.random.default_rng(seed)
+        h = HIDDEN_UNITS
+        lim1, lim2 = 1.0 / np.sqrt(d), 1.0 / np.sqrt(h)
+        w1 = rng.uniform(-lim1, lim1, size=(d, h))
+        b1 = rng.uniform(-lim1, lim1, size=h)
+        w2 = rng.uniform(-lim2, lim2, size=(h, k))
+        b2 = rng.uniform(-lim2, lim2, size=k)
+        want = np.concatenate([np.vstack([w1, b1]).ravel(),
+                               np.vstack([w2, b2]).ravel()])
+        assert same_bytes(init_params(d, k, seed), want)
 
 
 class TestLoss:
     def test_uniform_prediction_costs_log_k(self):
-        theta = zero_model(k=3).params()
+        theta = zero_model(k=3).theta
         X = np.array([[1.0, 2.0], [0.0, -1.0]])
         onehot = np.eye(3)[[0, 2]]
         loss, _ = loss_and_grad(theta, X, onehot, 2, HIDDEN_UNITS, 3)
@@ -107,20 +116,20 @@ class TestTraining:
         X, y = blobs(rng, 15, [(-1.0, 0.0), (1.0, 0.0)], sd=1.5)
         model, hist = train_mlp(X, y, X, y, seed=3, return_history=True)
         onehot = np.eye(2)[y.astype(int)]
-        got, _ = loss_and_grad(model.params(), X, onehot, 2, HIDDEN_UNITS, 2)
+        got, _ = loss_and_grad(model.theta, X, onehot, 2, HIDDEN_UNITS, 2)
         assert got <= min(hist["val_loss"]) + 1e-12
 
     def test_seed_determinism(self, rng):
         X, y = blobs(rng, 10, [(-2.0, 1.0), (2.0, -1.0)])
         a = train_mlp(X, y, X, y, seed=7)
         b = train_mlp(X, y, X, y, seed=7)
-        assert np.array_equal(a.params(), b.params())
+        assert np.array_equal(a.theta, b.theta)
 
     def test_seeds_change_the_fit(self, rng):
         X, y = blobs(rng, 10, [(-2.0, 1.0), (2.0, -1.0)])
         a = train_mlp(X, y, X, y, seed=1)
         b = train_mlp(X, y, X, y, seed=2)
-        assert not np.array_equal(a.params(), b.params())
+        assert not np.array_equal(a.theta, b.theta)
 
     def test_classes_sorted_from_labels(self, rng):
         X, y = blobs(rng, 5, [(-3.0,), (0.0,), (3.0,)], sd=0.2)
@@ -202,7 +211,8 @@ def reference_loss_and_grad(theta, X, onehot, d, h, k):
 def row_form_loss_and_grad(theta, X, onehot, d, h, k):
     """The same loss in row layout, with the biases added after the
     products: the same math, in another float order."""
-    w1, b1, w2, b2 = _unpack(theta, d, h, k)
+    W1, W2 = reference_layers(theta, d, h, k)
+    w1, b1, w2, b2 = W1[:d], W1[d], W2[:h], W2[h]
     z = np.tanh(X @ w1 + b1)
     logits = z @ w2 + b2
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -211,8 +221,11 @@ def row_form_loss_and_grad(theta, X, onehot, d, h, k):
     loss = float(np.mean(-np.sum(onehot * np.log(p), axis=1)))
     g_logits = (probs - onehot) / len(X)
     g_hidden = (g_logits @ w2.T) * (1.0 - z * z)
-    return loss, _pack(X.T @ g_hidden, g_hidden.sum(axis=0),
-                       z.T @ g_logits, g_logits.sum(axis=0))
+    grad = np.empty_like(theta)
+    G1, G2 = reference_layers(grad, d, h, k)
+    G1[:d], G1[d] = X.T @ g_hidden, g_hidden.sum(axis=0)
+    G2[:h], G2[h] = z.T @ g_logits, g_logits.sum(axis=0)
+    return loss, grad
 
 
 def reference_train_mlp(X, labels, X_val, labels_val, cfg, seed):
@@ -343,7 +356,7 @@ class TestAgainstReference:
                                 return_history=True)
         ref_theta, ref_hist = reference_train_mlp(X, labels, X_val,
                                                   labels_val, cfg, seed)
-        assert same_bytes(model.params(), ref_theta)
+        assert same_bytes(model.theta, ref_theta)
         assert same_bytes(hist["train_loss"], ref_hist["train_loss"])
         assert same_bytes(hist["val_loss"], ref_hist["val_loss"])
 
@@ -363,18 +376,18 @@ class TestFitsShareNoBuffers:
     def test_model_unchanged_by_a_later_fit(self, rng):
         first, second = self.problems(rng)
         model = train_mlp(*first, seed=1)
-        before = model.params().copy()
+        before = model.theta.copy()
         train_mlp(*second, seed=2)
-        assert same_bytes(model.params(), before)
+        assert same_bytes(model.theta, before)
 
     def test_concurrent_fits_give_serial_bytes(self, rng):
         problems = self.problems(rng) * 2
-        serial = [train_mlp(*p, seed=i).params() for i, p in
+        serial = [train_mlp(*p, seed=i).theta for i, p in
                   enumerate(problems)]
         results = [None] * len(problems)
 
         def fit(i):
-            results[i] = train_mlp(*problems[i], seed=i).params()
+            results[i] = train_mlp(*problems[i], seed=i).theta
 
         threads = [threading.Thread(target=fit, args=(i,))
                    for i in range(len(problems))]
