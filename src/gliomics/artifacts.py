@@ -107,14 +107,19 @@ def read_csv(path, columns: dict = None, rest=str, key=()) -> list:
     """Rows as dicts keyed by the header, ``#`` comment lines skipped.
 
     ``columns`` maps each column the table must have to the type its cells
-    are read as (``str``, ``int`` or ``float``); other columns are read as
-    ``rest``.  No two rows may hold the same cells in the ``key`` columns,
-    which are names from ``columns``.  Bytes that are not UTF-8 CSV text, a
-    missing column, a cell that does not convert, a ``float`` cell that is
-    not finite (``nan``, ``inf``) and a repeated key raise GliomicsError
-    naming the file, and the row, counted from 1 after the header.
+    are read as (``str``, ``int`` or ``float``), or to the tuple of ints
+    its cells may hold; other columns are read as ``rest``.  No two rows
+    may hold the same cells in the ``key`` columns, which are names from
+    ``columns``.  Bytes that are not UTF-8 CSV text, a missing column, a
+    cell that does not convert, an int outside its column's tuple, a
+    ``float`` cell that is not finite (``nan``, ``inf``) and a repeated key
+    raise GliomicsError naming the file, and the row, counted from 1 after
+    the header.
     """
     columns = columns or {}
+    choices = {c: kind for c, kind in columns.items()
+               if isinstance(kind, tuple)}
+    kinds = {**columns, **dict.fromkeys(choices, int)}
     try:
         lines = io.StringIO(read_bytes(path).decode(), newline="")
         reader = csv.DictReader(ln for ln in lines if not ln.startswith("#"))
@@ -128,7 +133,7 @@ def read_csv(path, columns: dict = None, rest=str, key=()) -> list:
     for n, record in enumerate(records, 1):
         row = {}
         for name, cell in record.items():
-            kind = columns.get(name, rest)
+            kind = kinds.get(name, rest)
             try:
                 row[name] = value = kind(cell)
             except (TypeError, ValueError) as exc:
@@ -137,6 +142,11 @@ def read_csv(path, columns: dict = None, rest=str, key=()) -> list:
             if kind is float and not math.isfinite(value):
                 raise GliomicsError(f"{path}: row {n}, column {name}: "
                                     f"{cell!r} is not a finite number")
+        for name, allowed in choices.items():
+            if row[name] not in allowed:
+                raise GliomicsError(
+                    f"{path}: row {n}, column {name}: {record[name]!r} is "
+                    f"not one of {', '.join(map(str, allowed))}")
         cells = tuple(record[name] for name in key)
         if key and cells in first_row:
             named = ", ".join(f"{k} {c}" for k, c in zip(key, cells))

@@ -34,8 +34,8 @@ from .experiments import (CLASSIFIERS, EXPERIMENTS, read_feature_table,
                           run_experiment, summary_csv_rows,
                           write_feature_table)
 from .features import KIND_LENGTHS, build_kind
-from .phantom import (DIMS, cohort_specs, read_manifest, stream_cohort,
-                      worker_count, worker_map)
+from .phantom import (DIMS, GRADES, cohort_specs, read_manifest,
+                      stream_cohort, worker_count, worker_map)
 from .stats import dunn_posthoc, kruskal_wallis
 from .volume import TUMOR_LABELS, load_labelmap, load_volume, save_volume
 from .volumetrics import component_volumes, volume_ratios
@@ -149,7 +149,8 @@ def cmd_features(args) -> int:
         raise GliomicsError(f"manifest {args.manifest} lists no subjects")
     if not modalities:
         raise GliomicsError(f"manifest {args.manifest} has no modality column")
-    kinds = args.kinds.split(",") if args.kinds else list(KIND_LENGTHS)
+    kinds = (list(KIND_LENGTHS) if args.kinds is None
+             else args.kinds.split(","))
     for kind in kinds:
         if kind not in KIND_LENGTHS:
             raise GliomicsError(f"unknown feature kind {kind!r}")
@@ -344,7 +345,7 @@ def cmd_train_eval(args) -> int:
 # ------------------------------------------------------------------- stats
 
 def cmd_stats(args) -> int:
-    rows = read_csv(args.ratios, {"subject_id": str, "grade": int,
+    rows = read_csv(args.ratios, {"subject_id": str, "grade": GRADES,
                                   **dict.fromkeys(_RATIO_COLUMNS, float)},
                     key=("subject_id",))
     grades = sorted({r["grade"] for r in rows})

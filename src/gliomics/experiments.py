@@ -20,12 +20,13 @@ from .errors import GliomicsError
 from .evaluate import roc_auc, stratified_split
 from .features import KIND_LENGTHS
 from .mlp import train_mlp
+from .phantom import GRADES
 
 EXPERIMENTS = (
     ("II-IV", (2, 4)),
     ("III-IV", (3, 4)),
     ("II-III", (2, 3)),
-    ("all", (2, 3, 4)),
+    ("all", GRADES),
 )
 
 CLASSIFIERS = ("svm-linear", "svm-rbf", "ann")
@@ -144,7 +145,8 @@ def write_feature_table(path, rows, kind: str, provenance: dict):
 
 def read_feature_table(path):
     """Inverse of write_feature_table -> (meta rows, X, kind)."""
-    fixed = {"subject_id": str, "modality": str, "grade": int, "kind": str}
+    fixed = {"subject_id": str, "modality": str, "grade": GRADES,
+             "kind": str}
     records = read_csv(path, fixed, rest=float,
                        key=("subject_id", "modality"))
     if not records:

@@ -103,8 +103,8 @@ def intensity_block(vals: np.ndarray) -> np.ndarray:
 def _require_match(v: Volume, lm: LabelMap):
     if not v.geometry.matches(lm.geometry):
         raise GeometryMismatch(
-            f"volume grid (dims {v.dims}, spacing {v.spacing}) and label "
-            f"map grid (dims {lm.dims}, spacing {lm.spacing}) differ in "
+            f"volume grid (dims {v.dims}, spacing {v.spacing}) and label map "
+            f"grid (dims {lm.geometry.dims}, spacing {lm.spacing}) differ in "
             f"dims, spacing or affine")
 
 

@@ -36,8 +36,9 @@ that plain form as the reference).
 
 The trainer calls the module-level ``loss_and_grad`` once per line-search
 trial, by that name: the benchmark's tracer rebinds it to time and count
-the trials.  It therefore keeps its signature, and a fit's buffers reach
-it through the keyword-only ``work``.
+the trials.  The tracer passes every argument through unread, so only the
+name must stay; a fit's buffers reach it through the keyword-only
+``work``.
 """
 
 from __future__ import annotations

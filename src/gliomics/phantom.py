@@ -25,6 +25,10 @@ from .errors import InfeasibleRatios
 from .volume import (TUMOR_LABELS, LabelMap, Volume, save_labelmap,
                      save_volume)
 
+# The WHO grades II, III and IV: the only grades a cohort, a manifest or a
+# table may hold.
+GRADES = (2, 3, 4)
+
 # Grade-wise per-label ratio medians (percent of total tumor volume) used as
 # single-phantom targets.  The unallocated remainder of the tumor is assigned
 # to the non-enhancing solid component (label 3).
@@ -86,7 +90,7 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grade not in (2, 3, 4):
+        if self.grade not in GRADES:
             raise ValueError(f"grade must be 2, 3 or 4, got {self.grade}")
         if self.ratios is None:
             object.__setattr__(self, "ratios", dict(MEDIAN_RATIOS[self.grade]))
@@ -229,7 +233,7 @@ def cohort_specs(n_per_grade=(18, 14, 25), base_seed: int = 0) -> list:
     if min(n_per_grade) < 3:
         raise ValueError("need at least 3 subjects per grade")
     specs = []
-    for grade, n in zip((2, 3, 4), n_per_grade):
+    for grade, n in zip(GRADES, n_per_grade):
         for i in range(n):
             seed_seq = np.random.SeedSequence([base_seed, grade, i])
             rng = np.random.default_rng(seed_seq)
@@ -365,11 +369,11 @@ def stream_cohort(specs, outdir, workers: int) -> Path:
 def read_manifest(path):
     """Parse a cohort manifest; returns (rows, modalities).
 
-    Each row is a dict with subject_id, grade (int) and absolute paths for
-    the label map and every modality.
+    Each row is a dict with subject_id, grade (one of ``GRADES``) and
+    absolute paths for the label map and every modality.
     """
     path = Path(path)
-    fixed = {"subject_id": str, "grade": int, "labelmap": str}
+    fixed = {"subject_id": str, "grade": GRADES, "labelmap": str}
     records = read_csv(path, fixed, key=("subject_id",))
     modalities = [c for c in (records[0] if records else ()) if c not in fixed]
     rows = []

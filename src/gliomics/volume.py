@@ -8,7 +8,6 @@ can be shared freely across threads.  All voxel data is held as float64
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -25,31 +24,28 @@ def _frozen(arr, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def _check_geometry(dims, spacing, affine):
-    if len(dims) != 3 or any(int(d) <= 0 for d in dims):
-        raise ValueError(f"dims must be 3 positive integers, got {dims}")
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be 3 positive reals, got {spacing}")
-    affine = np.asarray(affine, dtype=float)
-    if affine.shape != (4, 4):
-        raise ValueError(f"affine must be 4x4, got {affine.shape}")
-    if nifti.is_singular(affine):
-        raise ValueError("affine upper-left 3x3 block is singular")
-    return affine
-
-
 @dataclass(frozen=True)
 class GridGeometry:
-    """Grid shape, voxel size and voxel->world mapping, without the data."""
+    """Grid shape, voxel size and voxel->world mapping, without the data; the
+    one grid check, kept by each Volume and LabelMap as its ``geometry``."""
 
     dims: tuple
     spacing: tuple
     affine: np.ndarray
 
     def __post_init__(self):
-        affine = _check_geometry(self.dims, self.spacing, self.affine)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        dims, spacing = self.dims, self.spacing
+        if len(dims) != 3 or any(int(d) <= 0 for d in dims):
+            raise ValueError(f"dims must be 3 positive integers, got {dims}")
+        if len(spacing) != 3 or any(s <= 0 for s in spacing):
+            raise ValueError(f"spacing must be 3 positive reals, got {spacing}")
+        affine = np.asarray(self.affine, dtype=float)
+        if affine.shape != (4, 4):
+            raise ValueError(f"affine must be 4x4, got {affine.shape}")
+        if nifti.is_singular(affine):
+            raise ValueError("affine upper-left 3x3 block is singular")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+        object.__setattr__(self, "spacing", tuple(float(s) for s in spacing))
         object.__setattr__(self, "affine", _frozen(affine))
 
     def voxel_volume_mm3(self) -> float:
@@ -83,24 +79,21 @@ class Volume:
     data: np.ndarray
     spacing: tuple
     affine: np.ndarray
+    geometry: GridGeometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = _frozen(self.data)
         if data.ndim != 3:
             raise ValueError(f"volume data must be 3D, got shape {data.shape}")
-        affine = _check_geometry(data.shape, self.spacing, self.affine)
+        grid = GridGeometry(data.shape, self.spacing, self.affine)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "affine", _frozen(affine))
+        object.__setattr__(self, "geometry", grid)
+        object.__setattr__(self, "spacing", grid.spacing)
+        object.__setattr__(self, "affine", grid.affine)
 
     @property
     def dims(self) -> tuple:
         return self.data.shape
-
-    @cached_property
-    def geometry(self) -> GridGeometry:
-        # built once: the fields it reads never change
-        return GridGeometry(self.dims, self.spacing, self.affine)
 
     def with_data(self, data: np.ndarray) -> "Volume":
         return Volume(data, self.spacing, self.affine)
@@ -115,6 +108,7 @@ class LabelMap:
     """Integer segmentation over {0..5}: 1 edema, 2 enhancing, 3 non-enhancing
     solid, 4 cyst, 5 necrosis, 0 background.
 
+    ``spacing`` and ``affine`` are those of ``geometry``, its checked grid.
     ``_memo`` holds values derived from the label map alone, each computed
     on first use: ``features.build_kind`` keeps the shape vector there, so
     every modality of a subject shares one computation.  The data is
@@ -124,6 +118,7 @@ class LabelMap:
     data: np.ndarray
     spacing: tuple
     affine: np.ndarray
+    geometry: GridGeometry = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -141,19 +136,11 @@ class LabelMap:
             idx = np.argwhere(bad)[0]
             raise LabelOutOfRange(raw[tuple(idx)].item(), idx)
         data = _frozen(raw, np.int16)
-        affine = _check_geometry(data.shape, self.spacing, self.affine)
+        grid = GridGeometry(data.shape, self.spacing, self.affine)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "affine", _frozen(affine))
-
-    @property
-    def dims(self) -> tuple:
-        return self.data.shape
-
-    @cached_property
-    def geometry(self) -> GridGeometry:
-        # built once: the fields it reads never change
-        return GridGeometry(self.dims, self.spacing, self.affine)
+        object.__setattr__(self, "geometry", grid)
+        object.__setattr__(self, "spacing", grid.spacing)
+        object.__setattr__(self, "affine", grid.affine)
 
 
 def load_volume(path) -> Volume:

@@ -272,6 +272,13 @@ class TestFeaturesCommand:
         assert main(["features", str(cohort_dir / "manifest.csv"),
                      "--kinds", "v9", "--out", str(tmp_path)]) == 2
 
+    def test_empty_kinds_rejected(self, cohort_dir, tmp_path, caplog):
+        out = tmp_path / "feats"
+        assert main(["features", str(cohort_dir / "manifest.csv"),
+                     "--kinds", "", "--out", str(out)]) == 2
+        assert "unknown feature kind ''" in caplog.text
+        assert not out.exists()
+
     def test_repeated_kind_rejected(self, cohort_dir, tmp_path, caplog):
         out = tmp_path / "feats"
         assert main(["features", str(cohort_dir / "manifest.csv"),
@@ -1005,6 +1012,20 @@ CSV_FAULTS = {
     "manifest-grade-two":
         ("features", "manifest", _set_first_cell("grade", "two"),
          "row 1, column grade: cannot read 'two' as int"),
+    # a grade outside II-IV would form a class or a rank-test group of its
+    # own, so it stops the run before any volume is read or model trained
+    "manifest-grade-five-features":
+        ("features", "manifest", _set_first_cell("grade", "5"),
+         "row 1, column grade: '5' is not one of 2, 3, 4"),
+    "manifest-grade-five-volumetrics":
+        ("volumetrics", "manifest", _set_first_cell("grade", "5"),
+         "row 1, column grade: '5' is not one of 2, 3, 4"),
+    "volumetrics-grade-five":
+        ("stats", "volumetrics", _set_first_cell("grade", "5"),
+         "row 1, column grade: '5' is not one of 2, 3, 4"),
+    "feature-grade-one":
+        ("train-eval", "features", _set_first_cell("grade", "1"),
+         "row 1, column grade: '1' is not one of 2, 3, 4"),
     "manifest-binary":
         ("features", "nifti", None, "not a CSV text file"),
     # a repeated subject would count twice, or land in training and test

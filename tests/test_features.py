@@ -508,7 +508,7 @@ class TestShapeMemo:
     @given(label_maps())
     @settings(max_examples=100, deadline=None)
     def test_build_kind_is_bit_equal_to_a_fresh_shape_block(self, lm):
-        v = Volume(np.zeros(lm.dims), lm.spacing, lm.affine)
+        v = Volume(np.zeros(lm.data.shape), lm.spacing, lm.affine)
         twin = LabelMap(lm.data.copy(), lm.spacing, lm.affine)
         fresh = shape_block(LabelMap(lm.data, lm.spacing, lm.affine))
         # the first call fills the memo, the second reads it; the twin is

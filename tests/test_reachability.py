@@ -11,7 +11,6 @@ allowed calls is a second copy of the pipeline, or dead: delete it, or
 list it here with its caller.
 """
 
-import functools
 import importlib
 import inspect
 import logging
@@ -68,8 +67,6 @@ def defined() -> dict:
                     value = value.__func__
                 elif isinstance(value, property):
                     value = value.fget
-                elif isinstance(value, functools.cached_property):
-                    value = value.func
                 code = getattr(value, "__code__", None)
                 # leaves out imported names and the methods dataclass makes
                 if code is not None and code.co_filename == module.__file__:

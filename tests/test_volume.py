@@ -114,6 +114,41 @@ class TestGeometry:
         assert not identity_volume.geometry.matches(moved(1e-3))
 
 
+def _oblique_affine():
+    affine = np.diag([0.5, 1.0, 2.0, 1.0])
+    affine[:3, :3] = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                               [0.0, 0.0, 1.0]]) @ affine[:3, :3]
+    affine[:3, 3] = [-4.0, 7.5, 12.0]
+    return affine
+
+
+def _saved_and_loaded(tmp_path):
+    save_volume(Volume(np.arange(24.0).reshape(2, 3, 4), (0.5, 1.0, 2.0),
+                       _oblique_affine()), tmp_path / "v.nii.gz")
+    return load_volume(tmp_path / "v.nii.gz")
+
+
+class TestOneGrid:
+    """Each image keeps the one GridGeometry its constructor checked, and
+    its spacing and affine are that grid's own objects."""
+
+    @pytest.mark.parametrize("build", [
+        lambda tmp_path: Volume(np.zeros((2, 3, 4)), (0.5, 1.0, 2.0),
+                                _oblique_affine()),
+        lambda tmp_path: LabelMap(np.ones((2, 3, 4), dtype=np.uint8),
+                                  (0.5, 1.0, 2.0), _oblique_affine()),
+        _saved_and_loaded,
+    ], ids=["volume", "labelmap", "load_volume"])
+    def test_spacing_and_affine_are_the_grids(self, tmp_path, build):
+        image = build(tmp_path)
+        grid = image.geometry
+        assert grid.spacing is image.spacing
+        assert grid.affine is image.affine
+        assert grid.dims == image.data.shape
+        assert grid.matches(GridGeometry(image.data.shape, image.spacing,
+                                         image.affine))
+
+
 class TestResample:
     def test_identity_is_exact(self, identity_volume):
         out = resample(identity_volume, identity_volume.geometry)
