@@ -110,11 +110,12 @@ def read_csv(path, columns: dict = None, rest=str, key=()) -> list:
     are read as (``str``, ``int`` or ``float``), or to the tuple of ints
     its cells may hold; other columns are read as ``rest``.  No two rows
     may hold the same cells in the ``key`` columns, which are names from
-    ``columns``.  Bytes that are not UTF-8 CSV text, a missing column, a
-    cell that does not convert, an int outside its column's tuple, a
-    ``float`` cell that is not finite (``nan``, ``inf``) and a repeated key
-    raise GliomicsError naming the file, and the row, counted from 1 after
-    the header.
+    ``columns``.  Bytes that are not UTF-8 CSV text, a column the header
+    names twice, a missing column, a row with more or fewer cells than the
+    header, a cell that does not convert, an int outside its column's
+    tuple, a ``float`` cell that is not finite (``nan``, ``inf``) and a
+    repeated key raise GliomicsError naming the file, and the column or the
+    row, counted from 1 after the header.
     """
     columns = columns or {}
     choices = {c: kind for c, kind in columns.items()
@@ -122,16 +123,24 @@ def read_csv(path, columns: dict = None, rest=str, key=()) -> list:
     kinds = {**columns, **dict.fromkeys(choices, int)}
     try:
         lines = io.StringIO(read_bytes(path).decode(), newline="")
-        reader = csv.DictReader(ln for ln in lines if not ln.startswith("#"))
-        records = list(reader)
+        table = [cells for cells in csv.reader(
+            ln for ln in lines if not ln.startswith("#")) if cells]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise GliomicsError(f"{path}: not a CSV text file: {exc}") from exc
-    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    header = table[0] if table else []
+    for name in header:
+        if header.count(name) > 1:
+            raise GliomicsError(f"{path}: the header names column {name} "
+                                f"{header.count(name)} times")
+    missing = [c for c in columns if c not in header]
     if missing:
         raise GliomicsError(f"{path}: no {', '.join(missing)} column")
     rows, first_row = [], {}
-    for n, record in enumerate(records, 1):
-        row = {}
+    for n, cells in enumerate(table[1:], 1):
+        if len(cells) != len(header):
+            raise GliomicsError(f"{path}: row {n} has {len(cells)} cells, "
+                                f"the header {len(header)}")
+        record, row = dict(zip(header, cells)), {}
         for name, cell in record.items():
             kind = kinds.get(name, rest)
             try:

@@ -28,7 +28,6 @@ def _positive(value, kind) -> bool:
 @dataclass(frozen=True)
 class TrainConfig:
     max_iters: int = 200
-    cg_restart_interval: int = None     # None -> parameter count
     validation_patience: int = 6        # early-stop checks without progress
     svm_c_grid: tuple = (0.1, 1.0, 10.0, 100.0)
     rbf_gamma_grid: tuple = (0.25, 1.0, 4.0)   # multiples of 1/n_features
@@ -36,13 +35,11 @@ class TrainConfig:
     smo_max_passes: int = SMO_MAX_PASSES
 
     def __post_init__(self):
-        counts = (self.max_iters, self.validation_patience, self.smo_max_passes,
-                  1 if self.cg_restart_interval is None
-                  else self.cg_restart_interval)
-        if not all(_positive(v, Integral) for v in counts):
-            raise ValueError("max_iters, validation_patience, smo_max_passes "
-                             "and a set cg_restart_interval must be positive "
-                             "integers")
+        if not all(_positive(v, Integral) for v in (
+                self.max_iters, self.validation_patience,
+                self.smo_max_passes)):
+            raise ValueError("max_iters, validation_patience and "
+                             "smo_max_passes must be positive integers")
         if not (self.svm_c_grid and self.rbf_gamma_grid and all(
                 _positive(v, Real) for v in (self.smo_tolerance,
                                              *self.svm_c_grid,

@@ -124,6 +124,10 @@ def run_experiment(X: np.ndarray, grades: np.ndarray, experiment: str,
         float(finite.max()) if finite.size else float("nan"))
 
 
+def _feature_columns(kind: str) -> list:
+    return [f"f{i:03d}" for i in range(KIND_LENGTHS[kind])]
+
+
 def write_feature_table(path, rows, kind: str, provenance: dict):
     """One CSV per feature kind: a provenance line, then subject_id,
     modality, grade, kind, f000..
@@ -132,7 +136,7 @@ def write_feature_table(path, rows, kind: str, provenance: dict):
     """
     n = KIND_LENGTHS[kind]
     table = [["subject_id", "modality", "grade", "kind",
-              *[f"f{i:03d}" for i in range(n)]]]
+              *_feature_columns(kind)]]
     for subject_id, modality, grade, values in rows:
         if len(values) != n:
             raise GliomicsError(
@@ -144,7 +148,8 @@ def write_feature_table(path, rows, kind: str, provenance: dict):
 
 
 def read_feature_table(path):
-    """Inverse of write_feature_table -> (meta rows, X, kind)."""
+    """Inverse of write_feature_table -> (meta rows, X, kind), for the
+    kinds and feature columns it writes."""
     fixed = {"subject_id": str, "modality": str, "grade": GRADES,
              "kind": str}
     records = read_csv(path, fixed, rest=float,
@@ -156,9 +161,16 @@ def read_feature_table(path):
     kinds = {m["kind"] for m in meta}
     if len(kinds) != 1:
         raise GliomicsError(f"feature table {path} mixes kinds {sorted(kinds)}")
+    kind = kinds.pop()
+    if kind not in KIND_LENGTHS:
+        raise GliomicsError(f"feature table {path}: unknown kind {kind!r}")
+    want = _feature_columns(kind)
+    if fcols != want:
+        raise GliomicsError(f"feature table {path}: its feature columns "
+                            f"are not a {kind} table's f000..{want[-1]}")
     X = np.asarray([[rec[c] for c in fcols] for rec in records],
                    dtype=np.float64)
-    return meta, X, kinds.pop()
+    return meta, X, kind
 
 
 def summary_csv_rows(summaries) -> list:

@@ -34,11 +34,9 @@ zeros, and negates their sum, not each term.  Each form computes the same
 floats as the plain expression it replaces (``tests/test_mlp.py`` keeps
 that plain form as the reference).
 
-The trainer calls the module-level ``loss_and_grad`` once per line-search
-trial, by that name: the benchmark's tracer rebinds it to time and count
-the trials.  The tracer passes every argument through unread, so only the
-name must stay; a fit's buffers reach it through the keyword-only
-``work``.
+The trainer calls the module-level ``loss_and_grad(slot, cols)`` once per
+line-search trial, by that name: the benchmark's tracer rebinds it to time
+and count the trials, and passes both arguments through unread.
 """
 
 from __future__ import annotations
@@ -155,16 +153,10 @@ def init_params(d: int, k: int, seed: int) -> np.ndarray:
     return slot.theta
 
 
-def loss_and_grad(theta: np.ndarray, X: np.ndarray, onehot: np.ndarray,
-                  d: int, h: int, k: int, *, work=None):
-    """Mean cross-entropy and its gradient w.r.t. ``theta``.
-
-    ``work`` is a fit's ``(slot, cols)``, with ``theta`` the slot's
-    parameter vector and ``cols`` built from ``X`` and ``onehot``: the
-    gradient returned is then ``slot.grad``, which the next evaluation in
-    that slot overwrites.  Without it, the buffers are made for this call.
-    """
-    slot, cols = work or (_Slot(d, h, k, theta), _Columns(X, h, k, onehot))
+def loss_and_grad(slot: _Slot, cols: _Columns):
+    """Mean cross-entropy on the labelled samples ``cols`` and its gradient
+    w.r.t. ``slot.theta``, which is only read.  The gradient returned is
+    ``slot.grad``, which the next evaluation in that slot overwrites."""
     g_w1, g_w2 = slot.grads
     probs = _forward(slot.layers, cols)
     loss = _mean_nll(probs, cols.true, cols.picked)
@@ -206,10 +198,10 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
               seed: int = 0, return_history: bool = False):
     """Fit the network; returns the weights with the best validation loss.
 
-    Conjugate-gradient directions restart every ``cfg.cg_restart_interval``
-    iterations (parameter count when unset) and whenever the direction stops
-    descending; steps are chosen by Armijo backtracking, so accepted steps
-    never increase the training loss.  Stops early when the validation loss
+    Conjugate-gradient directions restart every P iterations, P the
+    parameter count, and whenever the direction stops descending; steps
+    are chosen by Armijo backtracking, so accepted steps never increase
+    the training loss.  Stops early when the validation loss
     has not improved for ``cfg.validation_patience`` consecutive checks.
     An empty validation set, or a validation label no training row has,
     raises before training starts.
@@ -225,8 +217,8 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
 
     cols, val_cols = _Columns(X, h, k, Y), _Columns(X_val, h, k, Y_val)
     cur, spare = _Slot(d, h, k, init_params(d, k, seed)), _Slot(d, h, k)
-    restart = cfg.cg_restart_interval or cur.theta.size
-    loss, grad = loss_and_grad(cur.theta, X, Y, d, h, k, work=(cur, cols))
+    restart = cur.theta.size
+    loss, grad = loss_and_grad(cur, cols)
     direction = -grad
     grad_change = np.empty_like(grad)
     step = 1.0
@@ -254,8 +246,7 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
         for _ in range(MAX_BACKTRACKS):
             np.multiply(direction, t, out=spare.theta)
             spare.theta += cur.theta
-            new_loss, new_grad = loss_and_grad(spare.theta, X, Y, d, h, k,
-                                               work=(spare, cols))
+            new_loss, new_grad = loss_and_grad(spare, cols)
             if (math.isfinite(new_loss)
                     and new_loss <= loss + ARMIJO_C1 * t * slope):
                 accepted = True
@@ -295,17 +286,20 @@ def train_mlp(X: np.ndarray, labels: np.ndarray, X_val: np.ndarray,
 
 
 def mlp_gradient_check(model: MlpModel, X: np.ndarray, labels) -> float:
-    """Max relative error of backprop vs central differences, all weights."""
+    """Max relative error of backprop vs central differences, all weights,
+    each perturbed in a copy of ``model.theta``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = _onehot(np.asarray(labels), model.classes)
     d, h, k = model.n_features, HIDDEN_UNITS, len(model.classes)
-    _, analytic = loss_and_grad(model.theta, X, Y, d, h, k)
+    cols, probe = _Columns(X, h, k, Y), _Slot(d, h, k, model.theta.copy())
+    analytic = loss_and_grad(probe, cols)[1].copy()
     numeric = np.empty_like(analytic)
-    for i in range(model.theta.size):
-        tp = model.theta.copy(); tp[i] += GRAD_CHECK_STEP
-        tm = model.theta.copy(); tm[i] -= GRAD_CHECK_STEP
-        lp, _ = loss_and_grad(tp, X, Y, d, h, k)
-        lm, _ = loss_and_grad(tm, X, Y, d, h, k)
+    for i, value in enumerate(model.theta):
+        probe.theta[i] = value + GRAD_CHECK_STEP
+        lp, _ = loss_and_grad(probe, cols)
+        probe.theta[i] = value - GRAD_CHECK_STEP
+        lm, _ = loss_and_grad(probe, cols)
+        probe.theta[i] = value
         numeric[i] = (lp - lm) / (2.0 * GRAD_CHECK_STEP)
     scale = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / scale))

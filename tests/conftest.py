@@ -1,8 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gliomics.phantom import PhantomSpec, generate_cohort, generate_phantom
 from gliomics.volume import LabelMap, Volume
+
+# in CI a failing hypothesis draw prints its @reproduce_failure line, so the
+# draw can be replayed from the log; the profile changes nothing else
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

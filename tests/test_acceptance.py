@@ -323,7 +323,7 @@ STAGE_DIGESTS = {
     "stats":
         "fa9f66e2b5b03a68fce8f86021a02ce4745d2e07afff9e30de63b092116a373c",
     "train-eval":
-        "d330f2c593794530e1fbfc4c4fb51b17fd512be387d886191b569ac78e4873b9",
+        "218530e8308da5aec3830e81db3003b703b5133d879e998ef819b56fcd74a239",
     "subtract":
         "30aef173f5ef51d1b05ce3797ec58a5b190446946a47643f97dec33ef52ab549",
 }

@@ -21,7 +21,6 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_iters": 0},
         {"validation_patience": 0},
-        {"cg_restart_interval": -3},
         {"smo_tolerance": 0.0},
         {"smo_max_passes": 0},
         {"svm_c_grid": ()},
@@ -29,7 +28,6 @@ class TestTrainConfig:
         {"rbf_gamma_grid": (0.0,)},
         {"max_iters": 2.5},
         {"validation_patience": True},
-        {"cg_restart_interval": 0},
         {"smo_tolerance": float("nan")},
         {"svm_c_grid": ("1",)},
     ])

@@ -697,9 +697,10 @@ class TestTrainEvalCommand:
         {"train": {"rbf_gamma_grid": [float("inf")]}},
         {"train": {"smo_tolerance": float("inf")}},
         {"train": {"svm_c_grid": [1.0, float("nan")]}},
+        {"train": {"cg_restart_interval": 7}},
     ], ids=["list", "runs-text", "runs-zero", "runs-neg", "train-list",
             "grid-number", "train-seed", "top-level-seed", "gamma-infinity",
-            "tolerance-infinity", "c-nan"])
+            "tolerance-infinity", "c-nan", "removed-restart-interval"])
     def test_malformed_config_exits_2_before_reading_tables(
             self, feature_dir, tmp_path, monkeypatch, config):
         def unread(path):
@@ -1000,6 +1001,34 @@ def _repeat_first_row(rows):
     rows.append(rows[1])
 
 
+def _append_column(name, cell):
+    def edit(rows):
+        rows[0].append(name)
+        for row in rows[1:]:
+            row.append(cell)
+    return edit
+
+
+def _lengthen_first_row(rows):
+    rows[1].append(rows[1][-1])
+
+
+def _shorten_first_row(rows):
+    del rows[1][-1]
+
+
+def _relabel_and_drop_four(kind):
+    """Every row's kind set to ``kind``, and the last four feature columns
+    dropped."""
+    def edit(rows):
+        i = rows[0].index("kind")
+        for row in rows[1:]:
+            row[i] = kind
+        for row in rows:
+            del row[-4:]
+    return edit
+
+
 # (command, input, edit or None to pass the input as it is, what the
 # logged error says after the file name)
 CSV_FAULTS = {
@@ -1050,6 +1079,27 @@ CSV_FAULTS = {
     "volumetrics-repeat":
         ("stats", "volumetrics", _repeat_first_row,
          "row 10: subject_id g2_000 repeats row 1"),
+    # a header that names a column twice, or a row longer or shorter than
+    # the header, would read the wrong cell or none
+    "manifest-grade-twice":
+        ("volumetrics", "manifest", _append_column("grade", "4"),
+         "the header names column grade 2 times"),
+    "manifest-long-row-features":
+        ("features", "manifest", _lengthen_first_row,
+         "row 1 has 7 cells, the header 6"),
+    "manifest-long-row-volumetrics":
+        ("volumetrics", "manifest", _lengthen_first_row,
+         "row 1 has 7 cells, the header 6"),
+    "manifest-short-row":
+        ("features", "manifest", _shorten_first_row,
+         "row 1 has 5 cells, the header 6"),
+    # a feature table is read as the kind and width its writer gives it
+    "feature-kind-v9-narrowed":
+        ("train-eval", "features", _relabel_and_drop_four("v9"),
+         "unknown kind 'v9'"),
+    "feature-v1-narrowed":
+        ("train-eval", "features", _relabel_and_drop_four("v1"),
+         "its feature columns are not a v1 table's f000..f013"),
     "volumetrics-ratio-na":
         ("stats", "volumetrics", _set_first_cell("ratio_pct_label1", "n/a"),
          "row 1, column ratio_pct_label1: cannot read 'n/a' as float"),

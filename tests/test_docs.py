@@ -39,7 +39,7 @@ def _config_keys(start: str, end: str) -> list:
 def test_config_keys_match_the_code():
     top = _config_keys("The config accepts four keys, each optional:",
                        "`train` accepts")
-    train = _config_keys("`train` accepts seven keys:", "An unknown")
+    train = _config_keys("`train` accepts six keys:", "An unknown")
     assert top == list(cli._CONFIG_KEYS)
     assert train == [f.name for f in dataclasses.fields(TrainConfig)]
 

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from gliomics.classify import TrainConfig
 from gliomics.errors import EmptyMatrix, GliomicsError, SingleClass
-from gliomics.mlp import (ARMIJO_C1, HIDDEN_UNITS, MAX_BACKTRACKS,
-                          VAL_CHECK_INTERVAL, MlpModel, _mean_nll, _onehot,
-                          init_params, loss_and_grad, mlp_gradient_check,
-                          train_mlp)
+from gliomics.mlp import (ARMIJO_C1, GRAD_CHECK_STEP, HIDDEN_UNITS,
+                          MAX_BACKTRACKS, VAL_CHECK_INTERVAL, MlpModel,
+                          _Columns, _mean_nll, _onehot, _Slot, init_params,
+                          loss_and_grad, mlp_gradient_check, train_mlp)
 
 
 def blobs(rng, n_per_class, centers, sd=0.5):
@@ -34,6 +34,14 @@ def model_of(theta, d, k):
 
 def predict(model, X):
     return model.predict_from(model.forward(X))
+
+
+def loss_at(theta, X, onehot):
+    """``loss_and_grad`` at ``theta`` on the rows of ``X``, labelled by the
+    one-hot rows of ``onehot``, in buffers made for this call."""
+    d, k = X.shape[1], onehot.shape[1]
+    return loss_and_grad(_Slot(d, HIDDEN_UNITS, k, theta),
+                         _Columns(X, HIDDEN_UNITS, k, onehot))
 
 
 class TestForward:
@@ -78,16 +86,15 @@ class TestLoss:
         theta = zero_model(k=3).theta
         X = np.array([[1.0, 2.0], [0.0, -1.0]])
         onehot = np.eye(3)[[0, 2]]
-        loss, _ = loss_and_grad(theta, X, onehot, 2, HIDDEN_UNITS, 3)
+        loss, _ = loss_at(theta, X, onehot)
         assert loss == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_mean_reduction_ignores_duplication(self, rng):
         theta = init_params(3, 2, seed=4)
         X = rng.normal(size=(5, 3))
         Y = np.eye(2)[rng.integers(2, size=5)]
-        lm, gm = loss_and_grad(theta, X, Y, 3, HIDDEN_UNITS, 2)
-        ld, gd = loss_and_grad(theta, np.vstack([X, X]), np.vstack([Y, Y]),
-                               3, HIDDEN_UNITS, 2)
+        lm, gm = loss_at(theta, X, Y)
+        ld, gd = loss_at(theta, np.vstack([X, X]), np.vstack([Y, Y]))
         assert ld == pytest.approx(lm, rel=1e-12)
         assert np.allclose(gd, gm, rtol=1e-9)
 
@@ -116,7 +123,7 @@ class TestTraining:
         X, y = blobs(rng, 15, [(-1.0, 0.0), (1.0, 0.0)], sd=1.5)
         model, hist = train_mlp(X, y, X, y, seed=3, return_history=True)
         onehot = np.eye(2)[y.astype(int)]
-        got, _ = loss_and_grad(model.theta, X, onehot, 2, HIDDEN_UNITS, 2)
+        got, _ = loss_at(model.theta, X, onehot)
         assert got <= min(hist["val_loss"]) + 1e-12
 
     def test_seed_determinism(self, rng):
@@ -233,7 +240,7 @@ def reference_train_mlp(X, labels, X_val, labels_val, cfg, seed):
     Y, Y_val = _onehot(labels, classes), _onehot(labels_val, classes)
     d, k, h = X.shape[1], len(classes), HIDDEN_UNITS
     theta = init_params(d, k, seed)
-    restart = cfg.cg_restart_interval or theta.size
+    restart = theta.size
     loss, grad = reference_loss_and_grad(theta, X, Y, d, h, k)
     direction = -grad
     step = 1.0
@@ -318,7 +325,7 @@ class TestAgainstReference:
         d, k = X.shape[1], int(labels.max()) + 1
         Y = _onehot(labels, tuple(range(k)))
         theta = init_params(d, k, seed)
-        loss, grad = loss_and_grad(theta, X, Y, d, HIDDEN_UNITS, k)
+        loss, grad = loss_at(theta, X, Y)
         ref_loss, ref_grad = reference_loss_and_grad(theta, X, Y, d,
                                                      HIDDEN_UNITS, k)
         assert same_bytes(loss, ref_loss)
@@ -339,19 +346,32 @@ class TestAgainstReference:
         d, k = X.shape[1], int(labels.max()) + 1
         Y = _onehot(labels, tuple(range(k)))
         theta = init_params(d, k, seed)
-        loss, grad = loss_and_grad(theta, X, Y, d, HIDDEN_UNITS, k)
+        loss, grad = loss_at(theta, X, Y)
         row_loss, row_grad = row_form_loss_and_grad(theta, X, Y, d,
                                                     HIDDEN_UNITS, k)
         assert loss == pytest.approx(row_loss, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad, row_grad, rtol=1e-12, atol=1e-12)
 
-    @given(problems(), st.integers(0, 2**32 - 1),
-           st.sampled_from((None, 1, 3, 7)), st.integers(1, 6))
+    @given(problems(), st.integers(0, 2**32 - 1), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
-    def test_training_is_byte_equal(self, problem, seed, restart, patience):
+    def test_training_is_byte_equal(self, problem, seed, patience):
         X, labels, X_val, labels_val = problem
-        cfg = TrainConfig(max_iters=200, cg_restart_interval=restart,
-                          validation_patience=patience)
+        cfg = TrainConfig(max_iters=200, validation_patience=patience)
+        self.assert_fits_agree(X, labels, X_val, labels_val, cfg, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_training_past_the_periodic_restart_is_byte_equal(self, rng,
+                                                              seed):
+        # d = 1 and k = 2 give P = 82 parameters, and a validation set equal
+        # to the training set keeps improving, so all 200 iterations run
+        # and the directions restart at iterations 82 and 164
+        X, y = blobs(rng, 10, [(-1.0,), (1.0,)], sd=1.0)
+        hist = self.assert_fits_agree(X, y, X, y, TrainConfig(), seed)
+        assert init_params(1, 2, seed).size == 82
+        assert len(hist["train_loss"]) == 201
+
+    @staticmethod
+    def assert_fits_agree(X, labels, X_val, labels_val, cfg, seed):
         model, hist = train_mlp(X, labels, X_val, labels_val, cfg, seed,
                                 return_history=True)
         ref_theta, ref_hist = reference_train_mlp(X, labels, X_val,
@@ -359,6 +379,33 @@ class TestAgainstReference:
         assert same_bytes(model.theta, ref_theta)
         assert same_bytes(hist["train_loss"], ref_hist["train_loss"])
         assert same_bytes(hist["val_loss"], ref_hist["val_loss"])
+        return hist
+
+    @pytest.mark.parametrize("d, k, seed", [(1, 2, 0), (3, 3, 11),
+                                            (14, 2, 7)])
+    def test_gradient_check_is_byte_equal_and_reads_only(self, d, k, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(9, d))
+        labels = np.arange(9) % k
+        model = model_of(init_params(d, k, seed), d, k)
+        before = model.theta.tobytes()
+        got = mlp_gradient_check(model, X, labels)
+        assert model.theta.tobytes() == before
+        # the same central difference over the reference loss
+        Y = _onehot(labels, model.classes)
+        theta = model.theta
+        _, analytic = reference_loss_and_grad(theta, X, Y, d, HIDDEN_UNITS,
+                                              k)
+        numeric = np.empty_like(analytic)
+        for i in range(theta.size):
+            tp = theta.copy(); tp[i] += GRAD_CHECK_STEP
+            tm = theta.copy(); tm[i] -= GRAD_CHECK_STEP
+            lp, _ = reference_loss_and_grad(tp, X, Y, d, HIDDEN_UNITS, k)
+            lm, _ = reference_loss_and_grad(tm, X, Y, d, HIDDEN_UNITS, k)
+            numeric[i] = (lp - lm) / (2.0 * GRAD_CHECK_STEP)
+        scale = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
+        want = float(np.max(np.abs(analytic - numeric) / scale))
+        assert same_bytes(got, want)
 
 
 class TestFitsShareNoBuffers:
