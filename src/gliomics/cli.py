@@ -19,7 +19,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
@@ -155,9 +154,11 @@ def cmd_features(args) -> int:
         if kind not in KIND_LENGTHS:
             raise GliomicsError(f"unknown feature kind {kind!r}")
     _no_repeats(kinds, "--kinds")
+    if "shape" in kinds:    # loaded before the pool forks, not per worker
+        import scipy.ndimage  # noqa: F401
     extract = partial(_extract_subject, modalities=modalities, kinds=kinds)
     results = []
-    outcomes = worker_map(extract, rows, args.jobs, ProcessPoolExecutor)
+    outcomes = worker_map(extract, rows, args.jobs)
     for row, outcome in zip(rows, outcomes):
         if not isinstance(outcome, GliomicsError):
             results.append(outcome)
@@ -213,10 +214,10 @@ def cmd_volumetrics(args) -> int:
 
 def _cost_rank(key) -> tuple:
     """A distinct cell's place in the queue, the costliest first so that no
-    long cell runs alone at the end: linear-kernel SVM cells took 73% of the
-    default study's cell time (182 of 251 s, each ``run_experiment`` call
-    timed in one process on a 2-core host), and within a classifier ``all``
-    costs most, then II-III."""
+    long cell runs alone at the end: linear-kernel SVM cells took 72% of the
+    default study's cell time (133.3 of 184.1 s, each ``run_experiment``
+    call timed in one process on a 2-core host), and within a classifier
+    ``all`` costs most, then II-III (107.4 and 23.7 s of svm-linear's)."""
     _, classifier, experiment = key
     return (classifier != "svm-linear",
             {"all": 0, "II-III": 1}.get(experiment, 2))
@@ -312,8 +313,7 @@ def cmd_train_eval(args) -> int:
     trained = {}
     try:
         for key, result in zip(order, worker_map(
-                train, [distinct[k] for k in order], workers,
-                ProcessPoolExecutor)):
+                train, [distinct[k] for k in order], workers)):
             trained[key] = result
     finally:
         # the records of every cell trained, failed grid or not, in the
@@ -391,18 +391,32 @@ def cmd_phantom(args) -> int:
     out = Path(args.out)
     workers = worker_count()
     start = time.perf_counter()
+    # loaded before the pool forks, not per worker
+    import scipy.ndimage  # noqa: F401
     manifest = stream_cohort(specs, out, workers)
     # the grid is fixed, but it describes the data, so the digest covers it
     prov = _provenance(args.seed, {"n_per_grade": n_per_grade, "dims": DIMS})
     write_json(out / "provenance.json", prov)
     n_files = len(specs) * (1 + len(specs[0][1].modalities)) + 2
-    log.info("wrote %s: %d subjects, %d files, %d worker threads, %.2f s",
+    log.info("wrote %s: %d subjects, %d files, %d worker processes, %.2f s",
              manifest, len(specs), n_files, workers,
              time.perf_counter() - start)
     return 0
 
 
 # ------------------------------------------------------------------ parser
+
+def _seed(text: str) -> int:
+    """``--seed``: a whole number, at least 0, as NumPy's seeding takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number >= 0, got {text!r}")
+    return seed
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -412,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("subtract", help="register pre to post, write the "
                                         "positive-clamped difference")

@@ -14,8 +14,9 @@ Everything is seeded; identical seeds give bit-identical volumes.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -268,8 +269,8 @@ def smooth_blob_volume(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0),
     """
     rng = np.random.default_rng(seed)
     dims = tuple(dims)
-    grids = np.meshgrid(*(np.arange(d) * s for d, s in zip(dims, spacing)),
-                        indexing="ij")
+    # open grids: each axis's coordinates once, broadcast in the sum
+    grids = np.ix_(*(np.arange(d) * s for d, s in zip(dims, spacing)))
     extent = np.asarray(dims) * np.asarray(spacing)
     arr = np.zeros(dims)
     for _ in range(N_BLOBS):
@@ -281,12 +282,12 @@ def smooth_blob_volume(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0),
     return Volume(arr, spacing, np.diag([*spacing, 1.0]))
 
 
-# The most workers worker_count() returns, for phantom's threads and
-# train-eval's processes.  Workers beyond the usable CPUs only contend: on a
-# 2-core host 2 threads took the 18/14/25 cohort from 1.40 s to 0.86-0.92 s,
-# and 3 or 4 threads took longer than 2.  The cap bounds the subjects held
-# at once, the contention for the interpreter lock and the processes started
-# on larger hosts, where no worker count has been measured.
+# The most workers worker_count() returns, for phantom's and train-eval's
+# processes.  Workers beyond the usable CPUs gain nothing: on a 2-core host
+# a whole `phantom` run on the 18/14/25 cohort took 1.09 s on 1 worker and
+# 0.82 s on 2 or 4 (medians of 10 fresh interpreters each).  The cap bounds
+# the subjects held at once and the processes started on larger hosts,
+# where no worker count has been measured.
 MAX_WORKERS = 4
 
 
@@ -299,20 +300,21 @@ def worker_count() -> int:
     return max(1, min(cpus, MAX_WORKERS))
 
 
-def worker_map(fn, items: list, workers: int, executor):
-    """``fn`` over ``items`` on up to ``workers`` workers of ``executor``, a
-    thread or process pool class; yields the results in input order.
+def worker_map(fn, items: list, workers: int):
+    """``fn`` over ``items`` on up to ``workers`` worker processes; yields
+    the results in input order.
 
-    One worker runs in the calling thread, with no pool.  A pool starts all
+    One worker runs in the calling process, with no pool.  A pool starts all
     its workers at once, so it gets no more than there are items.  Once
     ``fn`` raises, or the caller stops reading, the items still queued are
-    cancelled: ``Executor.map`` cancels them when it is closed.
+    cancelled: ``Executor.map`` cancels them when it is closed.  Forked
+    workers inherit the caller's modules: load what ``fn`` imports first.
     """
     workers = min(workers, len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
-    with executor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)
 
 
@@ -346,23 +348,22 @@ def write_cohort(cohort: Cohort, outdir) -> Path:
     return _write_manifest(outdir, list(cohort.subjects[0].volumes), rows)
 
 
-def stream_cohort(specs, outdir, workers: int) -> Path:
-    """Build and write the subjects of ``specs`` on ``workers`` threads,
-    then the manifest; the same files as ``write_cohort`` of the same
-    subjects, byte for byte, for any ``workers``.
+def _build_and_write(item, outdir: Path) -> list:
+    """Build and write one (subject_id, PhantomSpec) pair; returns only its
+    manifest row, so no volume crosses back from a worker process."""
+    return _write_subject(_build_subject(*item), outdir)
 
-    Each thread holds one subject at a time, and a subject's arrays are
-    freed once its files are written.  Much of the work, deflate above all,
-    runs outside the interpreter lock.  The threads follow ``worker_map``'s
-    rules; if a subject fails, no manifest is written.
+
+def stream_cohort(specs, outdir, workers: int) -> Path:
+    """Build and write the subjects of ``specs`` on ``worker_map``'s
+    ``workers`` processes, then the manifest; the same files as
+    ``write_cohort`` of the same subjects, byte for byte, for any
+    ``workers``.  Each worker holds one subject at a time.  If a subject
+    fails, no manifest is written.
     """
     outdir = Path(outdir)
-
-    def build_and_write(item):
-        return _write_subject(_build_subject(*item), outdir)
-
-    rows = list(worker_map(build_and_write, specs, workers,
-                           ThreadPoolExecutor))
+    rows = list(worker_map(partial(_build_and_write, outdir=outdir), specs,
+                           workers))
     return _write_manifest(outdir, specs[0][1].modalities, rows)
 
 

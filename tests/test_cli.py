@@ -22,6 +22,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -37,7 +38,8 @@ from gliomics.errors import (BadMagic, GeometryMismatch, IoFailure,
 from gliomics.experiments import (CLASSIFIERS, EXPERIMENTS, run_experiment,
                                   write_feature_table)
 from gliomics.nifti import VOX_OFFSET, read_nifti
-from gliomics.phantom import generate_cohort, read_manifest, write_cohort
+from gliomics.phantom import (cohort_specs, generate_cohort, read_manifest,
+                              write_cohort)
 from gliomics.registration import EsConfig, MiConfig
 from gliomics.volume import (LabelMap, Volume, load_labelmap, load_volume,
                              save_labelmap, save_volume)
@@ -129,8 +131,9 @@ def _tree(root) -> dict:
 
 
 class TestPhantomStreaming:
-    """``phantom`` builds and writes subjects on worker threads; each thread
-    holds one subject at a time."""
+    """``phantom`` builds and writes subjects in worker processes; each
+    worker holds one subject at a time and hands back only its manifest
+    row."""
 
     def test_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch):
         trees = {"default": None, 1: None, 2: None}
@@ -147,23 +150,32 @@ class TestPhantomStreaming:
         del trees[1][Path("provenance.json")]
         assert _tree(reference) == trees[1]
 
-    def test_two_workers_hold_few_subjects(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "worker_count", lambda: 2)
+    def test_one_job_returns_its_row_and_holds_one_subject(self, tmp_path):
+        first, second = cohort_specs((3, 3, 3), base_seed=3)[:2]
+        phantom._build_and_write(first, tmp_path)   # any first import here
         tracemalloc.start()
         try:
-            assert main(["phantom", "--out", str(tmp_path), *STREAMED]) == 0
+            row = phantom._build_and_write(second, tmp_path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # all 18 subjects in memory at once peak at about 17 MB
-        assert peak < 6e6
+        assert row == ["g2_001", "2", "g2_001_seg.nii.gz",
+                       "g2_001_t1_pre.nii.gz", "g2_001_t1_post.nii.gz",
+                       "g2_001_t2.nii.gz"]
+        # building one subject peaks at about 1.9 MB, of which its three
+        # volumes and label map are 0.85 MB; every further subject held at
+        # once adds those 0.85 MB
+        assert peak < 2.5e6
 
     def test_failed_subject_leaves_no_manifest(self, tmp_path, monkeypatch):
-        started = []
+        # the workers mark the subjects they start in files, which the
+        # parent can read; the patch reaches them by fork
+        started = tmp_path / "started"
+        started.mkdir()
 
         def fail_one(vol, path):
             name = Path(path).name
-            started.append(name[:len("g2_000")])
+            (started / name[:len("g2_000")]).touch()
             if name.startswith("g2_000_t1_post"):
                 raise IoFailure(f"{path}: no space left on device")
             time.sleep(0.05)    # most subjects are still queued at the failure
@@ -171,6 +183,9 @@ class TestPhantomStreaming:
 
         real_save = phantom.save_volume
         monkeypatch.setattr(phantom, "save_volume", fail_one)
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(phantom, "ProcessPoolExecutor",
+                            partial(ProcessPoolExecutor, mp_context=fork))
         monkeypatch.setattr(cli, "worker_count", lambda: 2)
         out = tmp_path / "cohort"
         assert main(["phantom", "--out", str(out), *STREAMED]) == 2
@@ -179,7 +194,7 @@ class TestPhantomStreaming:
         assert "provenance.json" not in names
         assert not [n for n in names if n.endswith(".tmp")]
         # the subjects still queued were cancelled, never started
-        assert 1 <= len(set(started)) < 18
+        assert 1 <= len(list(started.iterdir())) < 18
 
     def test_info_line_on_stderr(self, tmp_path, monkeypatch, caplog, capsys):
         monkeypatch.setattr(cli, "worker_count", lambda: 2)
@@ -189,7 +204,7 @@ class TestPhantomStreaming:
         [line] = [r.getMessage() for r in caplog.records
                   if r.levelno == logging.INFO]
         assert re.fullmatch(r"wrote \S+manifest\.csv: 9 subjects, 38 files, "
-                            r"2 worker threads, \d+\.\d\d s", line), line
+                            r"2 worker processes, \d+\.\d\d s", line), line
         assert capsys.readouterr().out == ""
 
 
@@ -251,7 +266,7 @@ class TestFeaturesCommand:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(phantom, "ProcessPoolExecutor", InProcessPool)
         rc = main(["features", str(cohort_dir / "manifest.csv"),
                    "--kinds", "v1,shape", "--out", str(tmp_path),
                    "--jobs", "64"])
@@ -838,7 +853,7 @@ class TestTrainEvalWorkers:
         def no_pool(*args, **kwargs):
             raise AssertionError("one worker must not start a pool")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(phantom, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(cli, "worker_count", lambda: 1)
         table = _grid_table(tmp_path / "features_v1.csv")
         cfg = _train_config(tmp_path / "cfg.json", n_runs=1)
@@ -1159,6 +1174,28 @@ class TestParser:
     def test_documented_flags_parse(self, argv):
         assert build_parser().parse_args(argv).seed == 1
 
+    @pytest.mark.parametrize("command", ["phantom", "features", "volumetrics",
+                                         "stats", "train-eval", "subtract"])
+    def test_negative_seed_rejected(self, command, cohort_dir, feature_dir,
+                                    volumetrics_csv, tmp_path, capsys):
+        # NumPy's seeding takes no negative seed; the inputs are real, so
+        # the seed is the only fault
+        inputs = {"phantom": [],
+                  "features": [cohort_dir / "manifest.csv"],
+                  "volumetrics": [cohort_dir / "manifest.csv"],
+                  "stats": [volumetrics_csv],
+                  "train-eval": [feature_dir / "features_v1.csv"],
+                  "subtract": [cohort_dir / "g2_000_t1_pre.nii.gz",
+                               cohort_dir / "g2_000_t1_post.nii.gz"]}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *map(str, inputs[command]), "--out", str(out),
+                  "--seed", "-1"])
+        assert exc.value.code == 2
+        assert ("argument --seed: must be a whole number >= 0, got '-1'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_train_eval_has_no_runs_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train-eval", "f.csv", "--out", "r", "--runs", "2"])
@@ -1237,11 +1274,11 @@ class TestEntryPoint:
                                           text=True))
 
 
-# Runs ``main`` on argv in a fresh interpreter, under the start method,
-# worker count and thread switch interval given, and prints the SciPy
-# modules loaded before and after the run as its last stdout line.  The
-# entry code sits under the ``__main__`` check, as spawn and forkserver
-# workers import this file again.
+# Runs ``main`` on argv in a fresh interpreter, under the start method and
+# worker count given, and prints the SciPy modules loaded in this process
+# before and after the run as its last stdout line.  The entry code sits
+# under the ``__main__`` check, as spawn and forkserver workers import this
+# file again.
 _RUN_MAIN = """\
 import json
 import multiprocessing
@@ -1261,12 +1298,7 @@ if __name__ == "__main__":
     if opts["workers"]:
         cli.worker_count = lambda: opts["workers"]
     before = scipy_modules()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(opts["switch_interval"] or interval)
-    try:
-        code = cli.main(opts["argv"])
-    finally:
-        sys.setswitchinterval(interval)
+    code = cli.main(opts["argv"])
     print(json.dumps([before, scipy_modules()]))
     sys.exit(code)
 """
@@ -1280,9 +1312,9 @@ def fresh(tmp_path_factory):
     script = tmp_path_factory.mktemp("fresh") / "run_main.py"
     script.write_text(_RUN_MAIN)
 
-    def run(argv, start_method=None, workers=None, switch_interval=None):
+    def run(argv, start_method=None, workers=None):
         opts = {"argv": [str(a) for a in argv], "start_method": start_method,
-                "workers": workers, "switch_interval": switch_interval}
+                "workers": workers}
         out = subprocess.run([sys.executable, str(script), json.dumps(opts)],
                              capture_output=True, text=True,
                              env=_source_env(), timeout=300)
@@ -1332,14 +1364,26 @@ class TestFreshInterpreter:
                "--jobs", "2", "--out", tmp_path / "features"],
               start_method=method)
         assert _tree(tmp_path / "features") == _tree(feature_dir)
+        fresh(["phantom", "--out", tmp_path / "cohort", "--n-per-grade",
+               "3,3,3", "--seed", "11"], start_method=method, workers=2)
+        assert _tree(tmp_path / "cohort") == _tree(cohort_dir)
 
-    def test_first_scipy_import_races_on_phantom_threads(
-            self, fresh, cohort_dir, tmp_path):
-        # four threads, more than a 2-core host has, switching every
-        # microsecond, all reach SciPy's first import in their first subject
-        before, after = fresh(["phantom", "--out", tmp_path, "--n-per-grade",
-                               "3,3,3", "--seed", "11"],
-                              workers=4, switch_interval=1e-6)
+    def test_pools_fork_after_scipy_is_loaded(self, fresh, cohort_dir,
+                                              feature_dir, tmp_path):
+        # forked workers inherit the parent's SciPy rather than each
+        # importing it again, so the parent holds it after the run
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        before, after = fresh(["phantom", "--out", tmp_path / "cohort",
+                               "--n-per-grade", "3,3,3", "--seed", "11"],
+                              start_method="fork", workers=4)
         assert before == []
         assert "scipy.ndimage" in after
-        assert _tree(tmp_path) == _tree(cohort_dir)
+        assert _tree(tmp_path / "cohort") == _tree(cohort_dir)
+        before, after = fresh(["features", cohort_dir / "manifest.csv",
+                               "--kinds", "v1,shape", "--jobs", "2",
+                               "--out", tmp_path / "features"],
+                              start_method="fork")
+        assert before == []
+        assert "scipy.ndimage" in after
+        assert _tree(tmp_path / "features") == _tree(feature_dir)

@@ -168,7 +168,7 @@ class TestStreamCohort:
             return real_save(*args)
 
         real_save = phantom.save_volume
-        monkeypatch.setattr(phantom, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(phantom, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(phantom, "save_volume", record_thread)
         stream_cohort(cohort_specs((3, 3, 3)), tmp_path, 1)
         assert threads == {threading.current_thread()}
