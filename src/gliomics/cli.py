@@ -32,7 +32,7 @@ from .errors import GliomicsError
 from .experiments import (CLASSIFIERS, EXPERIMENTS, read_feature_table,
                           run_experiment, summary_csv_rows,
                           write_feature_table)
-from .features import KIND_LENGTHS, build_kind
+from .features import KIND_LENGTHS, extract_all
 from .phantom import (DIMS, GRADES, cohort_specs, read_manifest,
                       stream_cohort, worker_count, worker_map)
 from .stats import dunn_posthoc, kruskal_wallis
@@ -83,9 +83,10 @@ def _no_repeats(names, what: str):
 
 def _config_names(config: dict, key: str, known) -> list:
     names = config.get(key, list(known))
-    if not isinstance(names, list) or not all(n in known for n in names):
-        raise GliomicsError(f"config {key} must be a list from {list(known)}, "
-                            f"got {names!r}")
+    if not (isinstance(names, list) and names
+            and all(n in known for n in names)):
+        raise GliomicsError(f"config {key} must be a non-empty list from "
+                            f"{list(known)}, got {names!r}")
     _no_repeats(names, f"config {key}")
     return names
 
@@ -133,8 +134,8 @@ def _extract_subject(row, modalities, kinds):
         out = {}
         for modality in modalities:
             v = load_volume(row[modality])
-            out[modality] = {kind: build_kind(kind, v, lm).values
-                             for kind in kinds}
+            out[modality] = {kind: fv.values for kind, fv
+                             in extract_all(v, lm, kinds).items()}
     except GliomicsError as exc:
         return exc
     return row["subject_id"], row["grade"], out

@@ -12,7 +12,7 @@ range plus min, max, mean and Shannon entropy of the histogram (bits).
 The ``shape`` vector (20) holds four planar descriptors per label, averaged
 over the label's 26-connected components with the measured slice areas as
 weights.  Each component is measured on its largest-area axial slice.  It
-depends on the label map alone, so ``build_kind`` computes it once per
+depends on the label map alone, so ``extract_all`` computes it once per
 ``LabelMap`` and every modality's pair reads that one vector.
 
 Every builder takes a volume and a label map on the same grid (dims,
@@ -298,26 +298,23 @@ def shape_block(lm: LabelMap) -> FeatureVector:
     return FeatureVector("shape", np.concatenate(out))
 
 
-def build_kind(kind: str, v: Volume, lm: LabelMap) -> FeatureVector:
-    """The one feature vector of ``kind`` for a (volume, label map) pair.
+def extract_all(v: Volume, lm: LabelMap, kinds=tuple(KIND_LENGTHS)) -> dict:
+    """The vectors of ``kinds`` for one (volume, label map) pair, in order.
 
     The shape vector is computed on the label map's first call and kept in
     its memo; every later call for that label map returns the same vector.
     """
-    if kind == "shape":
-        _require_match(v, lm)
-        if "shape" not in lm._memo:
-            # looked up per call, like the builders below, so a wrapped
-            # shape_block sees each real computation
-            lm._memo["shape"] = shape_block(lm)
-        return lm._memo["shape"]
-    # looked up per call, so a builder wrapped at run time is the one called
+    # looked up per call, so a wrapped builder or shape_block is the one called
     builders = {"v1": build_v1, "v2": build_v2, "v3": build_v3}
-    if kind not in builders:
-        raise ValueError(f"unknown feature kind {kind!r}")
-    return builders[kind](v, lm)
-
-
-def extract_all(v: Volume, lm: LabelMap) -> dict:
-    """All four feature vectors for one (volume, label map) pair."""
-    return {kind: build_kind(kind, v, lm) for kind in KIND_LENGTHS}
+    out = {}
+    for kind in kinds:
+        if kind == "shape":
+            _require_match(v, lm)
+            if "shape" not in lm._memo:
+                lm._memo["shape"] = shape_block(lm)
+            out[kind] = lm._memo["shape"]
+        elif kind in builders:
+            out[kind] = builders[kind](v, lm)
+        else:
+            raise ValueError(f"unknown feature kind {kind!r}")
+    return out

@@ -110,7 +110,7 @@ class LabelMap:
 
     ``spacing`` and ``affine`` are those of ``geometry``, its checked grid.
     ``_memo`` holds values derived from the label map alone, each computed
-    on first use: ``features.build_kind`` keeps the shape vector there, so
+    on first use: ``features.extract_all`` keeps the shape vector there, so
     every modality of a subject shares one computation.  The data is
     read-only, so a memoized value never goes stale.
     """

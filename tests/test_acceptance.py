@@ -25,7 +25,7 @@ from test_stats import mann_whitney_p
 from gliomics.classify import fit_standardizer
 from gliomics.cli import main
 from gliomics.evaluate import roc_auc
-from gliomics.features import (TUMOR_LABELS, build_kind, ellipse_perimeter,
+from gliomics.features import (TUMOR_LABELS, build_v2, ellipse_perimeter,
                                extract_all, region_histogram, shannon_entropy)
 from gliomics.mlp import init_params, mlp_gradient_check, train_mlp
 from gliomics.phantom import (PhantomSpec, generate_cohort, generate_phantom,
@@ -298,7 +298,7 @@ def test_criterion_8a_cohort_rank_tests(capsys):
 def test_criterion_8b_ann_histogram_separation(capsys):
     t0 = time.perf_counter()
     subjects = study_cohort().subjects
-    X = np.vstack([build_kind("v2", s.volumes["t2"], s.labelmap).values
+    X = np.vstack([build_v2(s.volumes["t2"], s.labelmap).values
                    for s in subjects])
     grades = np.array([s.grade for s in subjects])
     s = run_experiment(X, grades, "II-III", "ann", n_runs=100, seed0=0,

@@ -227,17 +227,24 @@ class TestFeaturesCommand:
         assert ids == sorted(ids)
 
     def test_shape_once_per_subject(self, cohort_dir, tmp_path, monkeypatch):
-        calls = []
-        real = features.shape_block
+        counts = {"extract_all": 0, "shape_block": 0}
 
-        def counting(lm):
-            calls.append(lm)
-            return real(lm)
+        def counting(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(features, "shape_block", counting)
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(cli, "extract_all")
+        counting(features, "shape_block")
         assert main(["features", str(cohort_dir / "manifest.csv"),
+                     "--kinds", "v1,v2,v3,shape", "--jobs", "1",
                      "--out", str(tmp_path)]) == 0
-        assert len(calls) == 9
+        # every (subject, modality) pair, 9 x 3, goes through extract_all,
+        # and shape is computed once per subject
+        assert counts == {"extract_all": 27, "shape_block": 9}
 
     def test_parallel_matches_serial(self, cohort_dir, feature_dir, tmp_path):
         rc = main(["features", str(cohort_dir / "manifest.csv"),
@@ -713,9 +720,12 @@ class TestTrainEvalCommand:
         {"train": {"smo_tolerance": float("inf")}},
         {"train": {"svm_c_grid": [1.0, float("nan")]}},
         {"train": {"cg_restart_interval": 7}},
+        {"classifiers": []},
+        {"experiments": []},
     ], ids=["list", "runs-text", "runs-zero", "runs-neg", "train-list",
             "grid-number", "train-seed", "top-level-seed", "gamma-infinity",
-            "tolerance-infinity", "c-nan", "removed-restart-interval"])
+            "tolerance-infinity", "c-nan", "removed-restart-interval",
+            "classifiers-empty", "experiments-empty"])
     def test_malformed_config_exits_2_before_reading_tables(
             self, feature_dir, tmp_path, monkeypatch, config):
         def unread(path):

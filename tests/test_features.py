@@ -8,8 +8,8 @@ from gliomics.errors import (GeometryMismatch, LengthMismatch,
                              NegativeProbability)
 from gliomics.features import (KIND_LENGTHS, TUMOR_LABELS, FeatureVector,
                                _boundary_perimeter, _component_shape,
-                               _convex_hull, _hull_pixel_count, build_kind,
-                               build_v1, build_v2, build_v3,
+                               _convex_hull, _hull_pixel_count, build_v1,
+                               build_v2, build_v3,
                                connected_components, ellipse_perimeter,
                                extract_all, intensity_block, region_histogram,
                                shannon_entropy, shape_block)
@@ -216,8 +216,8 @@ class TestVectors:
         # same dims, so only the spacing and affine tell the grids apart
         lm = make_labelmap({2: [(3, 3, 3)], 5: [(6, 6, 6)]})
         with pytest.raises(GeometryMismatch):
-            build_kind(kind, vol_of(np.ones((12, 12, 12)), (2.0, 2.0, 2.0)),
-                       lm)
+            extract_all(vol_of(np.ones((12, 12, 12)), (2.0, 2.0, 2.0)), lm,
+                        (kind,))
 
     def test_feature_vector_validates_length(self):
         with pytest.raises(LengthMismatch):
@@ -238,7 +238,7 @@ class TestVectors:
     def test_unknown_kind(self, small_phantom):
         vols, lm = small_phantom
         with pytest.raises(ValueError, match="unknown feature kind"):
-            build_kind("v9", vols["t2"], lm)
+            extract_all(vols["t2"], lm, ("v9",))
 
 
 class TestConnectedComponents:
@@ -507,15 +507,15 @@ def test_perimeter_matches_padded_steps(dims, data):
 class TestShapeMemo:
     @given(label_maps())
     @settings(max_examples=100, deadline=None)
-    def test_build_kind_is_bit_equal_to_a_fresh_shape_block(self, lm):
+    def test_extract_all_is_bit_equal_to_a_fresh_shape_block(self, lm):
         v = Volume(np.zeros(lm.data.shape), lm.spacing, lm.affine)
         twin = LabelMap(lm.data.copy(), lm.spacing, lm.affine)
         fresh = shape_block(LabelMap(lm.data, lm.spacing, lm.affine))
         # the first call fills the memo, the second reads it; the twin is
         # equal but built apart, so it holds a memo of its own
-        for vals in (build_kind("shape", v, lm).values,
-                     build_kind("shape", v, lm).values,
-                     build_kind("shape", v, twin).values):
+        for vals in (extract_all(v, lm, ("shape",))["shape"].values,
+                     extract_all(v, lm, ("shape",))["shape"].values,
+                     extract_all(v, twin, ("shape",))["shape"].values):
             assert vals.tobytes() == fresh.values.tobytes()
 
     def test_extract_all_computes_shape_once(self, small_phantom,
@@ -534,3 +534,17 @@ class TestShapeMemo:
         assert len(vols) == 3
         assert len(calls) == 1 and calls[0] is lm
         assert all(s is shapes[0] for s in shapes)
+
+
+@given(label_maps(), st.lists(st.sampled_from(list(KIND_LENGTHS)), min_size=1,
+                              unique=True))
+@settings(max_examples=100, deadline=None)
+def test_extract_all_returns_the_kinds_asked_for(lm, kinds):
+    # intensities that differ across the grid, so every block has a range
+    v = Volume(np.arange(lm.data.size, dtype=float).reshape(lm.data.shape)
+               % 7.0 + lm.data, lm.spacing, lm.affine)
+    out = extract_all(v, lm, kinds)
+    assert list(out) == kinds
+    full = extract_all(v, LabelMap(lm.data.copy(), lm.spacing, lm.affine))
+    for kind in kinds:
+        assert out[kind].values.tobytes() == full[kind].values.tobytes()

@@ -24,13 +24,12 @@ from gliomics import cli, phantom
 
 # dotted names under gliomics that the walkthrough does not reach
 ALLOWED = {
-    # bench/workloads.py: the classify workload's in-memory cohort and
-    # feature rows, the register workload's ground truth and its scoring
+    # bench/workloads.py: the classify workload's in-memory cohort, the
+    # register workload's ground truth and its scoring
     # (criterion 4 uses smooth_blob_volume and compose as well)
     "phantom.generate_cohort",
     "phantom.write_cohort",
     "phantom.smooth_blob_volume",
-    "features.extract_all",
     "registration.RigidTransform.from_json",
     "registration.RigidTransform.compose",
     "registration.RigidTransform.from_matrix",    # called by compose
